@@ -16,7 +16,7 @@ from .model import (
     EPS_RHO,
     ModelParams,
     Topology,
-    _f_batch,
+    _net_flux,
     build_update_matrices,
     measure_h,
     nonlinear_f,
@@ -64,6 +64,32 @@ class LinearizedMeasurement:
     density_floored: bool = False
 
 
+def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None):
+    """Central-difference Jacobians of f w.r.t. the state and the input.
+
+    Both stencils are evaluated in one population call.  Returns
+    ``((Jx, tie_x), (Ju, tie_u))``; a tie flag marks a stencil that met a
+    flux branch tie.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    u0 = np.asarray(u0, dtype=float)
+    n, m = x0.size, u0.size
+    hx = np.maximum(FD_REL_STEP * np.abs(x0), FD_ABS_STEP)
+    hu = np.maximum(FD_REL_STEP * np.abs(u0), FD_ABS_STEP)
+    X = np.vstack([x0 + np.diag(hx), x0 - np.diag(hx),
+                   np.broadcast_to(x0, (2 * m, n))])
+    U = np.vstack([np.broadcast_to(u0, (2 * n, m)),
+                   u0 + np.diag(hu), u0 - np.diag(hu)])
+    F, margins = _net_flux(X, U, topo, params, ds_scale)
+    out = []
+    for F_k, g_k, h in ((F[:2 * n], margins[:2 * n], hx),
+                        (F[2 * n:], margins[2 * n:], hu)):
+        k = h.size
+        J = ((F_k[:k] - F_k[k:]) / (2.0 * h)[:, None]).T
+        out.append((J, bool(np.min(g_k) < TIE_TOL)))
+    return tuple(out)
+
+
 def jacobian_fx(x0, u0, topo: Topology, params: ModelParams,
                 ds_scale=None) -> tuple[np.ndarray, bool]:
     """Central-difference Jacobian of f w.r.t. the state.
@@ -71,27 +97,13 @@ def jacobian_fx(x0, u0, topo: Topology, params: ModelParams,
     Returns (J, branch_tie).  Columns touching a flux branch tie are still
     returned; the flag marks the result as suspect for diagnostics.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    h = np.maximum(FD_REL_STEP * np.abs(x0), FD_ABS_STEP)
-    X = np.vstack([x0 + np.diag(h), x0 - np.diag(h)])
-    F, margins = _f_batch(X, u0, topo, params, ds_scale, with_margin=True)
-    J = ((F[:n] - F[n:]) / (2.0 * h)[:, None]).T
-    return J, bool(np.min(margins) < TIE_TOL)
+    return _stencils(x0, u0, topo, params, ds_scale)[0]
 
 
 def jacobian_fu(x0, u0, topo: Topology, params: ModelParams,
                 ds_scale=None) -> tuple[np.ndarray, bool]:
     """Central-difference Jacobian of f w.r.t. the input."""
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    m = u0.size
-    h = np.maximum(FD_REL_STEP * np.abs(u0), FD_ABS_STEP)
-    U = np.vstack([u0 + np.diag(h), u0 - np.diag(h)])
-    X = np.broadcast_to(x0, (2 * m, x0.size))
-    F, margins = _f_batch(X, U, topo, params, ds_scale, with_margin=True)
-    J = ((F[:m] - F[m:]) / (2.0 * h)[:, None]).T
-    return J, bool(np.min(margins) < TIE_TOL)
+    return _stencils(x0, u0, topo, params, ds_scale)[1]
 
 
 def linearize_model(x0, u0, topo: Topology, params: ModelParams,
@@ -106,8 +118,7 @@ def linearize_model(x0, u0, topo: Topology, params: ModelParams,
     A, G = build_update_matrices(topo, params)
     g = params.T / params.l  # G is g * I
     f0 = nonlinear_f(x0, u0, topo, params, ds_scale)
-    Jx, tie_x = jacobian_fx(x0, u0, topo, params, ds_scale)
-    Ju, tie_u = jacobian_fu(x0, u0, topo, params, ds_scale)
+    (Jx, tie_x), (Ju, tie_u) = _stencils(x0, u0, topo, params, ds_scale)
     A_tilde = A + g * Jx
     B = g * Ju
     c1 = g * (f0 - Jx @ x0 - Ju @ u0)

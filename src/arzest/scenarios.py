@@ -31,6 +31,7 @@ from .model import (
     equilibrium_state,
     measure_h,
     pack_inputs,
+    speeds_from_state,
     state_bounds,
     step,
 )
@@ -151,14 +152,20 @@ def paper_topology() -> Topology:
     )
 
 
-def default_schedule(topo: Topology) -> SensorSchedule:
-    """Minimum fixed set (last mainline cell + all ramps) plus three
-    connected vehicles starting at 1, 3, 7 and hopping every 15 steps."""
+def _min_fixed(topo: Topology) -> list[int]:
+    """Minimum fixed sensor set: the last mainline cell and every ramp."""
     fixed = [topo.n_mainline]
     fixed += [topo.onramp_segment(j + 1) for j in range(topo.n_onramps)]
     fixed += [topo.offramp_segment(l + 1) for l in range(topo.n_offramps)]
-    return SensorSchedule(fixed_segments=tuple(fixed), mobile_count=3,
-                          rotation_period=15, initial_positions=(1, 3, 7))
+    return fixed
+
+
+def default_schedule(topo: Topology) -> SensorSchedule:
+    """Minimum fixed set (last mainline cell + all ramps) plus three
+    connected vehicles starting at 1, 3, 7 and hopping every 15 steps."""
+    return SensorSchedule(fixed_segments=tuple(_min_fixed(topo)),
+                          mobile_count=3, rotation_period=15,
+                          initial_positions=(1, 3, 7))
 
 
 def constant_inputs(topo: Topology, t_f: int, d_in: float, w_in: float,
@@ -292,8 +299,8 @@ def rmse(truth_traj, est_traj, params: ModelParams,
             raise ValueError("observed rows and trajectory shapes differ")
         v_t = truth_obs[1:, 1::2]
     else:
-        v_t = np.apply_along_axis(lambda r: measure_h(r, params)[1::2], 1, tt)
-    v_e = np.apply_along_axis(lambda r: measure_h(r, params)[1::2], 1, ee)
+        v_t = speeds_from_state(tt, params)
+    v_e = speeds_from_state(ee, params)
     d_v = v_e - v_t
     return (float(np.sqrt(np.mean(d_rho ** 2))),
             float(np.sqrt(np.mean(d_v ** 2))))
@@ -403,13 +410,6 @@ def _run_cells(sc, sweep, cells, truth, jobs: int) -> list[dict]:
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(_cell_job, tasks))
-
-
-def _min_fixed(topo: Topology) -> list[int]:
-    fixed = [topo.n_mainline]
-    fixed += [topo.onramp_segment(j + 1) for j in range(topo.n_onramps)]
-    fixed += [topo.offramp_segment(l + 1) for l in range(topo.n_offramps)]
-    return fixed
 
 
 def sweep_sensor_count(sc: Scenario, counts=(0, 1, 2, 3, 4, 5, 6, 7, 8),

@@ -421,3 +421,13 @@ def test_step_batch_blowup(topo, params):
     X[1, 4] = math.inf
     with pytest.raises(BlowupError):
         step_batch(X, _paper_inputs(topo), topo, params)
+
+
+def test_step_rejects_wrong_input_length(topo, params):
+    x = equilibrium_state(topo, params, 60.0)
+    u = _paper_inputs(topo)
+    for bad in (u[:-1], np.append(u, 20.0), u[:1]):
+        with pytest.raises(ModelError, match="inputs"):
+            step(x, bad, topo, params)
+        with pytest.raises(ModelError, match="inputs"):
+            step_batch(x[None, :], bad, topo, params)

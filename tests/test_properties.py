@@ -1,0 +1,128 @@
+"""Properties of the flux evaluators over random networks, parameters, states
+and inputs.
+
+Networks range over one to twelve mainline cells and always include the
+edge cases: no ramps at all, and an on-ramp into cell 1 together with an
+off-ramp at the last cell.  States lie inside the physical box, on its
+faces and just outside it, with zero densities (and zero or positive
+relative flows) among them.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arzest.model import (
+    ModelParams,
+    OffRamp,
+    OnRamp,
+    Topology,
+    compute_fluxes,
+    nonlinear_f,
+    nonlinear_f_batch,
+    state_bounds,
+    step,
+    step_batch,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
+                    database=None)
+
+
+@st.composite
+def networks(draw) -> Topology:
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(("none", "edges", "random")))
+    if shape == "none":
+        return Topology(n_mainline=n)
+    # Boundary b sits between cells b and b+1; at most one ramp per boundary.
+    on = {0} if shape == "edges" else set()
+    off = {n} if shape == "edges" else set()
+    on |= draw(st.sets(st.integers(0, n - 1), max_size=3))
+    off |= draw(st.sets(st.integers(1, n), max_size=3)) - on
+    alphas = draw(st.lists(st.floats(0.05, 0.95), min_size=len(off),
+                           max_size=len(off)))
+    return Topology(
+        n_mainline=n,
+        on_ramps=tuple(OnRamp(merge_into=b + 1) for b in sorted(on)),
+        off_ramps=tuple(OffRamp(diverge_from=b, alpha=a)
+                        for b, a in zip(sorted(off), alphas)),
+    )
+
+
+@st.composite
+def model_params(draw) -> ModelParams:
+    v_f = draw(st.floats(60.0, 140.0))
+    l = draw(st.floats(0.05, 0.5))
+    cfl = draw(st.floats(0.1, 1.0))
+    return ModelParams(v_f=v_f, rho_m=draw(st.floats(150.0, 500.0)),
+                       tau=draw(st.floats(1.5, 60.0)),
+                       gamma=draw(st.floats(1.05, 3.0)),
+                       T=cfl * l / v_f, l=l)
+
+
+# Fractions of the box's upper face: inside, on both faces, just outside.
+FRACTION = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+    (0.0, 1.0, -1e-6, -1e-3, 1.0 + 1e-6, 1.0 + 1e-3)))
+
+
+@st.composite
+def cases(draw, rows=3):
+    """A network, CFL-valid parameters, ``rows`` states with one input
+    vector each, and an optional per-segment demand/supply scale."""
+    topo = draw(networks())
+    p = draw(model_params())
+    _, hi = state_bounds(topo, p)
+    X = np.array(draw(st.lists(
+        st.lists(FRACTION, min_size=topo.n_x, max_size=topo.n_x),
+        min_size=rows, max_size=rows))) * hi
+    cap = p.rho_m * p.v_f / 4.0
+    u_hi = [1.2 * cap, 2.0 * p.v_f, p.rho_m]
+    u_hi += [cap, 2.0 * p.v_f] * topo.n_onramps + [p.rho_m] * topo.n_offramps
+    U = np.array(draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=topo.n_u, max_size=topo.n_u),
+        min_size=rows, max_size=rows))) * u_hi
+    scale = draw(st.one_of(st.none(), st.lists(
+        st.floats(0.2, 1.0), min_size=topo.n_segments,
+        max_size=topo.n_segments)))
+    return topo, p, X, U, scale
+
+
+@PROPERTY
+@given(cases())
+def test_one_state_and_population_evaluators_agree(case):
+    # numpy's power and Python's ** may differ in the last bit, and a net
+    # flux can cancel, so the absolute tolerance follows the flux size.
+    topo, p, X, U, scale = case
+    F = nonlinear_f_batch(X, U, topo, p, ds_scale=scale)
+    for x, u, f_pop in zip(X, U, F):
+        fl = compute_fluxes(x, u, topo, p, ds_scale=scale)
+        f_one = nonlinear_f(x, u, topo, p, ds_scale=scale)
+        for sl, parts in ((slice(0, None, 2), (fl.q_in, fl.q_out)),
+                          (slice(1, None, 2), (fl.phi_in, fl.phi_out))):
+            size = max(1.0, *(float(np.max(np.abs(a))) for a in parts))
+            np.testing.assert_allclose(f_pop[sl], f_one[sl], rtol=1e-12,
+                                       atol=1e-12 * size)
+
+
+@PROPERTY
+@given(cases(rows=1))
+def test_compute_fluxes_conserves_vehicles(case):
+    topo, p, X, U, scale = case
+    fl = compute_fluxes(X[0], U[0], topo, p, ds_scale=scale)
+    stored = float(np.sum(fl.q_in - fl.q_out))
+    net = (fl.entry_q + fl.onramp_entry_q.sum()
+           - fl.exit_q - fl.offramp_exit_q.sum())
+    size = max(1.0, float(np.sum(fl.q_in) + np.sum(fl.q_out)))
+    assert abs(stored - net) <= 1e-9 * size
+
+
+@PROPERTY
+@given(cases())
+def test_step_stays_in_box_without_blowup(case):
+    topo, p, X, U, scale = case
+    lo, hi = state_bounds(topo, p)
+    for x, u in zip(X, U):
+        x_new = step(x, u, topo, p, ds_scale=scale)
+        assert np.all(x_new >= lo) and np.all(x_new <= hi)
+    X_new = step_batch(X, U, topo, p, ds_scale=scale)
+    assert np.all(X_new >= lo) and np.all(X_new <= hi)
