@@ -1,10 +1,13 @@
 """Moving-horizon estimator tests.
 
 The QP assembly is checked against a direct evaluation of the windowed
-objective, and the projected-gradient solver against brute-force active-set
-enumeration on small instances.  A session with injected affine hooks must
+objective, and both box-QP solvers (projected Newton and the
+projected-gradient fallback) against brute-force active-set enumeration on
+small instances.  A session with injected affine hooks must
 recover an affine truth exactly (to solver tolerance).
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from qp_oracles import (
     random_small_qp,
 )
 
+from arzest import mhe
 from arzest.linearize import LinearizedMeasurement, linearize_measurement, linearize_model
 from arzest.mhe import (
     HorizonEntry,
@@ -24,6 +28,7 @@ from arzest.mhe import (
     operating_point,
     predict_arrival,
     solve_box_qp,
+    solve_box_qp_newton,
 )
 from arzest.model import (
     equilibrium_state,
@@ -32,6 +37,13 @@ from arzest.model import (
     state_bounds,
     state_scale,
     step,
+)
+from arzest.scenarios import (
+    EstimatorSpec,
+    JamSpec,
+    default_scenario,
+    generate_truth,
+    run_estimation,
 )
 from arzest.sensing import build_observation
 
@@ -165,6 +177,100 @@ def test_solver_reports_exhaustion():
     _, info = solve_box_qp(qp, tol_kkt=1e-14, max_iter=3)
     assert not info.converged
     assert info.iterations == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("pushed", [False, True])
+def test_newton_matches_brute_force(n, pushed):
+    rng = np.random.default_rng(400 + n)
+    for _ in range(20):
+        qp = random_small_qp(rng, n)
+        if pushed:
+            qp.q[:] = -50.0  # push the optimum against the upper bounds
+        z_star, f_star = brute_force_box_qp(qp.H, qp.q, qp.z_min, qp.z_max)
+        z, info = solve_box_qp_newton(qp, tol_kkt=1e-10)
+        assert info.converged and info.solver == "newton"
+        assert np.all(z >= qp.z_min) and np.all(z <= qp.z_max)
+        if pushed:
+            assert np.any(z == qp.z_max)
+        f = float(z @ qp.H @ z + qp.q @ z)
+        assert f <= f_star + 1e-6 * (1.0 + abs(f_star))
+        np.testing.assert_allclose(z, z_star, rtol=1e-5, atol=1e-5)
+
+
+def test_newton_interior_optimum_is_the_direct_solve():
+    rng = np.random.default_rng(304)
+    qp = random_small_qp(rng, 6)
+    z_direct = np.linalg.solve(qp.H, -0.5 * qp.q)
+    qp.z_min, qp.z_max = z_direct - 1.0, z_direct + 1.0
+    z, info = solve_box_qp_newton(qp)
+    assert info.converged and info.iterations == 0
+    np.testing.assert_array_equal(z, z_direct)
+
+
+def test_singular_hessian_falls_back_to_projected_gradient(topo, params):
+    """With no measurement and no model weight, every block but the arrival
+    block has a zero Hessian: Newton cannot factor it, and the session
+    solves by projected gradient from the box centre instead of raising."""
+    cfg = MheConfig(horizon=2, w1=0.0, w2=0.0)
+    x0 = _warmed_state(topo, params, steps=50)
+    u = _inputs(topo)
+    C = build_observation([9, 10, 11, 12], topo)
+    lo, hi = state_bounds(topo, params)
+    d = state_scale(topo, params)
+    sess = MheSession(x0, cfg, topo, params)
+    y = C @ measure_h(x0, params)
+    sess.step(u, y, C)
+    qp = assemble_qp(sess.buffer, x0 / d, cfg, lo / d, hi / d)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_box_qp_newton(qp)
+    for _ in range(3):
+        x_hat = sess.step(u, y, C)
+        assert sess.last_info.solver == "pg" and sess.last_info.converged
+    assert sess.failed_solves == 0
+    assert np.all(x_hat >= lo) and np.all(x_hat <= hi)
+
+
+def _noisy_session_run(topo, params, steps=20):
+    x0 = _warmed_state(topo, params)
+    sess = MheSession(x0.copy(), MheConfig(), topo, params)
+    u = _inputs(topo)
+    C = build_observation([9, 10, 11, 12], topo)
+    rng = np.random.default_rng(7)
+    x = x0.copy()
+    est, infos = [], []
+    for _ in range(steps):
+        x = step(x, u, topo, params)
+        y = C @ measure_h(x, params) + rng.uniform(-40, 40, C.shape[0])
+        est.append(sess.step(u, y, C))
+        infos.append(sess.last_info)
+    return sess, np.array(est), infos
+
+
+def test_exhausted_newton_budget_falls_back(topo, params, monkeypatch):
+    """Windows whose optimum touches a bound need Newton iterations; with no
+    budget for them the projected-gradient fallback, warm-started from the
+    feasible Newton iterate, must reach the same estimates."""
+    _, est_newton, infos = _noisy_session_run(topo, params)
+    assert any(i.solver == "newton" and i.iterations > 0 for i in infos)
+    monkeypatch.setattr(mhe, "NEWTON_MAX_ITER", 0)
+    sess, est_pg, infos = _noisy_session_run(topo, params)
+    assert any(i.solver == "pg" for i in infos)
+    assert all(i.solver == "pg" or i.iterations == 0 for i in infos)
+    assert sess.last_info is infos[-1]
+    assert sess.failed_solves == sum(not i.converged for i in infos)
+    d = state_scale(topo, params)
+    np.testing.assert_allclose(est_pg / d, est_newton / d, rtol=0, atol=1e-6)
+
+
+def test_noise_40_sweep_inputs_solve_every_qp():
+    """The noise-sweep inputs (80-step reference twin, jam on cell 7 from
+    step 5, noise 40, seed 0) solve every QP.  Projected gradient alone
+    leaves five of them at its iteration cap."""
+    sc = default_scenario(80, 40.0, (EstimatorSpec("mhe"),))
+    sc = replace(sc, jam=JamSpec(segment=7, start=5, end=80))
+    res = run_estimation(sc, generate_truth(sc), EstimatorSpec("mhe"), seed=0)
+    assert "qp_fail" not in res.flags, res.flags
 
 
 # ---------------------------------------------------------------------------
