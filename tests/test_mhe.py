@@ -273,6 +273,53 @@ def test_noise_40_sweep_inputs_solve_every_qp():
     assert "qp_fail" not in res.flags, res.flags
 
 
+def _objective_roundoff(qp, z):
+    """A bound on the rounding error of evaluating z'Hz + q'z."""
+    az = np.abs(z)
+    return 8.0 * np.finfo(float).eps * float(
+        az @ (np.abs(qp.H) @ az) + np.abs(qp.q) @ az)
+
+
+def test_newton_results_in_a_session_pass_the_solve_checks(monkeypatch):
+    """Every Newton solve of the noise-sweep inputs (noise 40 and 0) lies in
+    the box, is no worse than the clipped direct solve it starts from, and
+    where the direct solve lies inside the box, is within the gap of the KKT
+    tolerance of its objective."""
+    solves = []
+
+    def recording(qp, tol_kkt):
+        z, info = newton(qp, tol_kkt)
+        solves.append((qp, tol_kkt, z, info))
+        return z, info
+
+    newton = mhe.solve_box_qp_newton
+    monkeypatch.setattr(mhe, "solve_box_qp_newton", recording)
+    sc = default_scenario(80, 40.0, (EstimatorSpec("mhe"),))
+    sc = replace(sc, jam=JamSpec(segment=7, start=5, end=80))
+    truth = generate_truth(sc)
+    for noise in (40.0, 0.0):
+        run_estimation(replace(sc, noise_std=noise), truth,
+                       EstimatorSpec("mhe"), seed=0)
+    assert len(solves) == 160
+    interior = iterated = 0
+    for qp, tol_kkt, z, info in solves:
+        assert info.converged and info.solver == "newton"
+        assert np.all(z >= qp.z_min) and np.all(z <= qp.z_max)
+        f = float(z @ (qp.H @ z) + qp.q @ z)
+        z_direct = np.linalg.solve(qp.H, -0.5 * qp.q)
+        start = np.clip(z_direct, qp.z_min, qp.z_max)
+        f_start = float(start @ (qp.H @ start) + qp.q @ start)
+        slack = _objective_roundoff(qp, z) + _objective_roundoff(qp, start)
+        assert f <= f_start + slack
+        iterated += info.iterations > 0
+        if np.all(z_direct >= qp.z_min) and np.all(z_direct <= qp.z_max):
+            interior += 1
+            lam_min = float(np.linalg.eigvalsh(qp.H)[0])
+            gap = z.size * tol_kkt ** 2 / (4.0 * lam_min)
+            assert f_start - slack <= f <= f_start + gap + slack
+    assert interior > 0 and iterated > 0
+
+
 # ---------------------------------------------------------------------------
 # Session behavior on the real model
 # ---------------------------------------------------------------------------
