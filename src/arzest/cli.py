@@ -473,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("sensors", "rotation", "spacing", "noise"))
     p.add_argument("--out", metavar="FILE", required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for sweep cells (default 1)")
+                   help="processes for sweep cells, this one included "
+                        "(default 1)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gramian",

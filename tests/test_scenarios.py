@@ -1,5 +1,8 @@
 """Twin-experiment machinery: truth generation, scoring, estimation runs
 and the four sweep drivers."""
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -294,6 +297,34 @@ def test_sweep_jobs_match_sequential():
         assert a["rmse_rho"] == b["rmse_rho"]
         assert a["rmse_v"] == b["rmse_v"]
         assert a["knob"] == b["knob"] and a["estimator"] == b["estimator"]
+
+
+def test_pooled_sweep_shares_cells_with_the_caller(monkeypatch):
+    def fake_row(sc, sweep, knob, spec, truth, cell):
+        time.sleep(0.05)
+        return {"knob": knob, "pid": os.getpid()}
+
+    # Forked workers inherit the patched module attribute.
+    monkeypatch.setattr(scenarios, "_averaged_row", fake_row)
+    sc = _small(t_f=5)
+    rows = sweep_noise(sc, stds=tuple(range(8)), truth=generate_truth(sc),
+                       jobs=2)
+    assert [r["knob"] for r in rows] == list(range(8))
+    pids = {r["pid"] for r in rows}
+    assert os.getpid() in pids and len(pids) == 2
+
+
+def test_pooled_sweep_restores_blas_threads():
+    # A count the sweep's own share (cores // jobs) cannot equal.
+    mine = max(1, len(os.sched_getaffinity(0)) // 2) + 1
+    saved = scenarios._set_blas_threads(mine)
+    try:
+        sc = _small(t_f=10)
+        sweep_noise(sc, stds=(0.0, 10.0), truth=generate_truth(sc), jobs=2)
+        after = [get() for get, _ in scenarios._openblas_thread_controls()]
+        assert after == [mine] * len(saved)
+    finally:
+        scenarios._set_blas_threads(saved)
 
 
 def test_write_sweep_csv(tmp_path):
