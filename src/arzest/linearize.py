@@ -5,6 +5,16 @@ The update ``x+ = A x + G f(x, u)`` is linearized about an operating point
 Jacobians of ``f``; the constant ``c1`` is chosen so the affine model is
 exact at the operating point.  The measurement map is linearized with the
 analytic Jacobian of ``measure_h``.
+
+Each net flux reads only the few state and input columns of the boundaries
+around its segment.  The Jacobians are therefore colored (Curtis, Powell &
+Reid 1974; Coleman & More 1983): each topology compiles once the sparsity
+pattern of f and a greedy grouping of columns that share no row, and one
+central difference per group yields every column in it.  On both benchmark
+networks that is 7 state and 2 input groups, so ``linearize_model``
+evaluates 18 perturbed states where a dense stencil evaluates
+2 (n_x + n_u): 62 on the 9-cell network and 154 on the 30-cell one.  The
+result equals the dense stencil's bit for bit, branch-tie flag included.
 """
 from __future__ import annotations
 
@@ -64,30 +74,49 @@ class LinearizedMeasurement:
     density_floored: bool = False
 
 
-def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None):
-    """Central-difference Jacobians of f w.r.t. the state and the input.
+def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
+              blocks: str = "xu"):
+    """Central-difference Jacobians of f w.r.t. the state ("x") and/or the
+    input ("u"), in one population call.
 
-    Both stencils are evaluated in one population call.  Returns
-    ``((Jx, tie_x), (Ju, tie_u))``; a tie flag marks a stencil that met a
+    Each group of the topology's column coloring is perturbed at once and
+    ``J[i, j] = dF_group(j)[i] / (2 h_j)`` is read off on the sparsity
+    pattern; every entry equals the column-by-column stencil's bit for bit.
+    Returns ``([J per block], tie)``: the flag marks a stencil that met a
     flux branch tie.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    n, m = x0.size, u0.size
-    hx = np.maximum(FD_REL_STEP * np.abs(x0), FD_ABS_STEP)
-    hu = np.maximum(FD_REL_STEP * np.abs(u0), FD_ABS_STEP)
-    X = np.vstack([x0 + np.diag(hx), x0 - np.diag(hx),
-                   np.broadcast_to(x0, (2 * m, n))])
-    U = np.vstack([np.broadcast_to(u0, (2 * n, m)),
-                   u0 + np.diag(hu), u0 - np.diag(hu)])
-    F, margins = _net_flux(X, U, topo, params, ds_scale)
-    out = []
-    for F_k, g_k, h in ((F[:2 * n], margins[:2 * n], hx),
-                        (F[2 * n:], margins[2 * n:], hu)):
-        k = h.size
-        J = ((F_k[:k] - F_k[k:]) / (2.0 * h)[:, None]).T
-        out.append((J, bool(np.min(g_k) < TIE_TOL)))
-    return tuple(out)
+    plan = topo._jacobian
+    n = x0.size
+    base = plan.base[blocks]
+    rows = sum(2 * len(plan.groups[key].groups) for key in blocks)
+    # Each group's + rows and - rows, then the unperturbed state if needed.
+    X = np.empty((rows + (base.size > 0), n))
+    U = np.empty((len(X), u0.size))
+    X[:], U[:] = x0, u0
+    parts, i = [], 0
+    for key in blocks:
+        c = plan.groups[key]
+        v, Y = (x0, X) if key == "x" else (u0, U)
+        h = np.maximum(FD_REL_STEP * np.abs(v), FD_ABS_STEP)
+        d = c.groups * h
+        Y[i:i + len(d)] += d
+        Y[i + len(d):i + 2 * len(d)] -= d
+        parts.append((c, h, slice(i, i + 2 * len(d))))
+        i += 2 * len(d)
+    F, gap = _net_flux(X, U, topo, params, ds_scale)
+    margin = min(gap[:rows].min(), gap[rows:, base].min(initial=np.inf))
+    Js = []
+    for c, h, at in parts:
+        Fk = F[at].ravel()
+        # Filled as (columns, rows) and transposed, the layout of a dense
+        # stencil, so that matrix-vector products round the same way.
+        Jt = np.zeros(h.size * n)
+        Jt[c.entry] = ((Fk.take(c.plus) - Fk.take(c.minus))
+                       / (2.0 * h).take(c.col))
+        Js.append(Jt.reshape(h.size, n).T)
+    return Js, bool(margin < TIE_TOL)
 
 
 def jacobian_fx(x0, u0, topo: Topology, params: ModelParams,
@@ -97,13 +126,15 @@ def jacobian_fx(x0, u0, topo: Topology, params: ModelParams,
     Returns (J, branch_tie).  Columns touching a flux branch tie are still
     returned; the flag marks the result as suspect for diagnostics.
     """
-    return _stencils(x0, u0, topo, params, ds_scale)[0]
+    (J,), tie = _stencils(x0, u0, topo, params, ds_scale, "x")
+    return J, tie
 
 
 def jacobian_fu(x0, u0, topo: Topology, params: ModelParams,
                 ds_scale=None) -> tuple[np.ndarray, bool]:
     """Central-difference Jacobian of f w.r.t. the input."""
-    return _stencils(x0, u0, topo, params, ds_scale)[1]
+    (J,), tie = _stencils(x0, u0, topo, params, ds_scale, "u")
+    return J, tie
 
 
 def linearize_model(x0, u0, topo: Topology, params: ModelParams,
@@ -118,11 +149,11 @@ def linearize_model(x0, u0, topo: Topology, params: ModelParams,
     A, G = build_update_matrices(topo, params)
     g = params.T / params.l  # G is g * I
     f0 = nonlinear_f(x0, u0, topo, params, ds_scale)
-    (Jx, tie_x), (Ju, tie_u) = _stencils(x0, u0, topo, params, ds_scale)
+    (Jx, Ju), tie = _stencils(x0, u0, topo, params, ds_scale)
     A_tilde = A + g * Jx
     B = g * Ju
     c1 = g * (f0 - Jx @ x0 - Ju @ u0)
-    return LinearizedModel(A_tilde, B, c1, x0, u0, tie_x or tie_u)
+    return LinearizedModel(A_tilde, B, c1, x0, u0, tie)
 
 
 def measurement_jacobian(x0, params: ModelParams,

@@ -66,7 +66,9 @@ class MheConfig:
     """Horizon length and objective weights (mu: arrival, w1: measurement,
     w2: model residual), plus solver termination settings.
 
-    ``tol_kkt`` is the projected-KKT tolerance of both QP solvers.
+    ``tol_kkt`` is the projected-KKT tolerance of both QP solvers; projected
+    Newton also counts a coordinate as converged below the roundoff floor
+    of its gradient.
     ``max_iter`` caps the projected-gradient fallback only; the budget of
     the projected Newton solver is the module constant ``NEWTON_MAX_ITER``.
     """
@@ -156,6 +158,11 @@ class SolveInfo:
     # Which solver produced the result: "newton" (solve_box_qp_newton) or
     # "pg" (solve_box_qp).
     solver: str = "pg"
+    # Newton only: the largest roundoff floor eps (2|H||z| + |q|) of the
+    # gradient at the returned point when the plain KKT test failed there
+    # (0 when it passed).  A solve is converged when every coordinate's
+    # projected gradient lies below max(tol_kkt, its floor).
+    kkt_floor: float = 0.0
 
 
 def operating_point(prev_window: list[np.ndarray]) -> np.ndarray:
@@ -245,19 +252,29 @@ def _power_iteration_l(H: np.ndarray, iters: int = 200) -> float:
     return max(2.0 * lam * 1.05, 1e-12)
 
 
-def _kkt_residual(z, g, lo, hi) -> float:
-    """Projected-gradient optimality violation for the box constraints."""
+def _projected_gradient(z, g, lo, hi) -> np.ndarray:
+    """Per-coordinate violation of the box KKT conditions: |g| inside the
+    box, and at a bound the part of g that points out of the box."""
     at_lo = z <= lo
     at_hi = z >= hi
-    interior = ~(at_lo | at_hi)
-    r = 0.0
-    if interior.any():
-        r = float(np.max(np.abs(g[interior])))
-    if at_lo.any():
-        r = max(r, float(np.max(-g[at_lo], initial=0.0)))
-    if at_hi.any():
-        r = max(r, float(np.max(g[at_hi], initial=0.0)))
-    return r
+    r = np.where(at_lo | at_hi, 0.0, np.abs(g))
+    r = np.maximum(r, np.where(at_lo, -g, 0.0))
+    return np.maximum(r, np.where(at_hi, g, 0.0))
+
+
+def _kkt_residual(z, g, lo, hi) -> float:
+    """Projected-gradient optimality violation for the box constraints."""
+    return float(np.max(_projected_gradient(z, g, lo, hi)))
+
+
+def _below_roundoff(z, g, qp: QPProblem, abs_h, tol_kkt: float):
+    """Whether every coordinate's projected gradient lies below
+    ``max(tol_kkt, eps (2|H||z| + |q|))``, the larger of the tolerance and
+    the roundoff floor of the gradient ``2Hz + q`` at that coordinate, and
+    the largest floor."""
+    floor = np.finfo(float).eps * (2.0 * (abs_h @ np.abs(z)) + np.abs(qp.q))
+    r = _projected_gradient(z, g, qp.z_min, qp.z_max)
+    return bool(np.all(r <= np.maximum(tol_kkt, floor))), float(floor.max())
 
 
 def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 5000,
@@ -369,10 +386,12 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
     gradient points out of the box on a diagonally scaled step, takes a
     Newton step on the free block, and backtracks (Armijo) along the
     projection arc.  Terminates on the same projected-KKT test as
-    ``solve_box_qp``; every iterate lies in the box exactly.  If the budget
-    runs out or a line search stalls, the last iterate is returned with the
-    converged flag false.  Raises ``np.linalg.LinAlgError`` when H cannot
-    be factored.
+    ``solve_box_qp``, or, once that fails, when every coordinate's projected
+    gradient lies below the gradient's roundoff floor at that coordinate
+    (``SolveInfo.kkt_floor``); every iterate lies in the box exactly.  If
+    the budget runs out or a line search stalls, the last iterate is
+    returned with the converged flag false.  Raises
+    ``np.linalg.LinAlgError`` when H cannot be factored.
     """
     H, q, lo, hi = qp.H, qp.q, qp.z_min, qp.z_max
     z = np.clip(np.linalg.solve(H, -0.5 * q), lo, hi)
@@ -382,8 +401,15 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
     g = 2.0 * Hz + q
     hist = [f + qp.const]
     kkt = _kkt_residual(z, g, lo, hi)
-    it = 0
-    while kkt > tol_kkt and it < NEWTON_MAX_ITER:
+    converged, it, floor, abs_h = kkt <= tol_kkt, 0, 0.0, None
+    while not converged:
+        # Only now that the plain test failed: a gradient below its
+        # roundoff floor carries no information about the minimiser.
+        if abs_h is None:
+            abs_h = np.abs(H)
+        converged, floor = _below_roundoff(z, g, qp, abs_h, tol_kkt)
+        if converged or it == NEWTON_MAX_ITER:
+            break
         it += 1
         eps = min(NEWTON_EPS, float(np.linalg.norm(z - np.clip(z - g, lo, hi))))
         held = ((z <= lo + eps) & (g > 0.0)) | ((z >= hi - eps) & (g < 0.0))
@@ -416,8 +442,10 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
         g = 2.0 * Hz + q
         hist.append(f + qp.const)
         kkt = _kkt_residual(z, g, lo, hi)
-    return z, SolveInfo(kkt <= tol_kkt, it, kkt, f + qp.const, hist,
-                        solver="newton")
+        if kkt <= tol_kkt:
+            converged, floor = True, 0.0
+    return z, SolveInfo(converged, it, kkt, f + qp.const, hist,
+                        solver="newton", kkt_floor=floor)
 
 
 class MheSession:

@@ -207,6 +207,10 @@ class Topology:
     def _boundaries(self) -> _BoundaryTable:
         return _compile_boundaries(self)
 
+    @cached_property
+    def _jacobian(self) -> _JacobianPlan:
+        return _compile_jacobian(self)
+
 
 def rho_index(segment: int) -> int:
     """State index of a segment's density (segment ids are 1-based)."""
@@ -440,14 +444,28 @@ class _BoundaryTable:
     demand/supply scale, then the input vector, then the constants 0 and 1.
     Flows go to slots: one per segment, one per input column (the external
     end of an entry or an exit) and one that discards an absent leg's flow.
+
+    The population path gathers the main and downstream legs of every
+    boundary but the ramp and off legs only where they exist, which is why
+    boundaries are ordered ramp, plain, off.  Each segment has exactly one
+    inflow and one outflow, so its net fluxes are read back from the flows
+    by position instead of scattered into slots.
     """
 
     legs: np.ndarray  # (8, B) value indices: D_m w_m D_r w_r rho_d s_d rho_o s_o
     slots: np.ndarray  # (4, B) slots: main out, ramp out, down in, off in
-    alpha: np.ndarray  # (B,) off-leg split, 0 without an off leg
-    ramp: np.ndarray  # (B,) whether a ramp leg merges
     rows: tuple  # per boundary (leg getter, slots, alpha, ramp) in Python types
     n_slots: int
+    n_ramp: int  # the first n_ramp boundaries have a ramp leg
+    n_off: int  # the last n_off boundaries have an off leg
+    gather: np.ndarray  # value indices: D_m w_m D_r w_r rho_d rho_o s_d s_o
+    gather_legs: tuple  # slices of the gathered values: D_m w_m D_r w_r rho_in s_in
+    divisor: np.ndarray  # receiving candidates' divisors: 1 - alpha, then alpha
+    alpha_off: np.ndarray  # the off legs' splits
+    # Per state row, the position of its inflow and its outflow in the
+    # flows [q_m q_r phi_m phi_r | q_d q_o phi_d phi_o] of _junction_b.
+    inflow: np.ndarray
+    outflow: np.ndarray
 
 
 def _compile_boundaries(topo: Topology) -> _BoundaryTable:
@@ -483,14 +501,129 @@ def _compile_boundaries(topo: Topology) -> _BoundaryTable:
                for j in range(n_on)]
     bounds += [(sender(n + n_on + l), absent, sink(3 + 2 * n_on + l), absent, 0.0)
                for l in range(topo.n_offramps)]
+    # Boundaries with a ramp leg first, then those with neither optional
+    # leg, then those with an off leg: each subset is a slice.
+    bounds.sort(key=lambda bd: 0 if bd[1] != absent else 1 + (bd[4] > 0.0))
 
     legs = np.array([[i for leg in bd[:4] for i in leg[:2]] for bd in bounds]).T
     slots = np.array([[leg[2] for leg in bd[:4]] for bd in bounds]).T
     alpha = np.array([bd[4] for bd in bounds])
-    ramp = np.array([bd[1] != absent for bd in bounds])
-    rows = tuple((itemgetter(*map(int, lg)), tuple(map(int, sl)), float(a), bool(r))
+    ramp = [bd[1] != absent for bd in bounds]
+    rows = tuple((itemgetter(*map(int, lg)), tuple(map(int, sl)), float(a), r)
                  for lg, sl, a, r in zip(legs.T, slots.T, alpha, ramp))
-    return _BoundaryTable(legs, slots, alpha, ramp, rows, DROP + 1)
+
+    B, n_ramp, n_off = len(bounds), sum(ramp), int(np.count_nonzero(alpha))
+    off = slice(B - n_off, B)
+    gather = np.concatenate((legs[0], legs[1], legs[2, :n_ramp], legs[3, :n_ramp],
+                             legs[4], legs[6, off], legs[5], legs[7, off]))
+    ends = np.cumsum((0, B, B, n_ramp, n_ramp, B + n_off, B + n_off))
+    gather_legs = tuple(slice(a, b) for a, b in zip(ends[:-1], ends[1:]))
+
+    def positions(full, part, start):
+        # Flows [full leg (B) | partial leg | the same for phi] from
+        # ``start`` on; the row pair of segment s gets its q and phi.
+        width = full.size + part.size
+        pos = np.empty(topo.n_x, dtype=np.intp)
+        for k, s in enumerate(np.concatenate((full, part)), start):
+            if s < nseg:
+                pos[2 * s], pos[2 * s + 1] = k, width + k
+        return pos
+
+    return _BoundaryTable(
+        legs, slots, rows, DROP + 1, n_ramp, n_off, gather, gather_legs,
+        np.concatenate((1.0 - alpha, alpha[off])), alpha[off],
+        positions(slots[2], slots[3, off], 2 * (B + n_ramp)),
+        positions(slots[0], slots[1, :n_ramp], 0))
+
+
+@dataclass(frozen=True, eq=False)
+class _ColumnGroups:
+    """Greedy column coloring of one block of the Jacobian of f: the state
+    columns or the input columns.
+
+    No two columns of a group share a row of the block's sparsity pattern,
+    so one central difference per group recovers every column in it
+    (Curtis, Powell & Reid 1974).
+    """
+
+    groups: np.ndarray  # (k, columns) 1.0 on the columns of each group
+    # Per nonzero (row i, column j) of the pattern: j, the flat index of
+    # J[i, j] in the transposed (columns, rows) Jacobian, and the flat
+    # indices of F[i] in the (2k, rows) stencil rows of j's group, + then -.
+    col: np.ndarray
+    entry: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _JacobianPlan:
+    """Column groups of the state ("x") and input ("u") blocks of the
+    Jacobian of f.
+
+    A dense stencil shows each boundary's unperturbed tie margin in the
+    rows of the columns that do not read it.  ``base[blocks]`` lists the
+    boundaries for which no group of the requested blocks does that; their
+    margin needs the unperturbed state as a row of its own.
+    """
+
+    groups: dict  # "x" or "u" -> _ColumnGroups
+    base: dict  # "x", "u" or "xu" -> boundary indices
+
+
+def _color(pattern: np.ndarray) -> _ColumnGroups:
+    """Color the columns of a (rows, columns) pattern in order, each into
+    the first group whose rows it does not share."""
+    taken = []  # rows of each group, as bit sets
+    group = np.empty(pattern.shape[1], dtype=np.intp)
+    for j, rows in enumerate(pattern.T):
+        bits = sum(1 << int(i) for i in np.flatnonzero(rows))
+        g = next((g for g, t in enumerate(taken) if not t & bits), len(taken))
+        if g == len(taken):
+            taken.append(0)
+        taken[g] |= bits
+        group[j] = g
+    k, (n, cols) = len(taken), pattern.shape
+    member = np.zeros((k, cols))
+    member[group, np.arange(cols)] = 1.0
+    row, col = np.nonzero(pattern)
+    plus = group[col] * n + row
+    return _ColumnGroups(member, col, col * n + row, plus, plus + k * n)
+
+
+def _compile_jacobian(topo: Topology) -> _JacobianPlan:
+    """Sparsity pattern of the Jacobian of f and its column groups.
+
+    Legs give the columns: a sender's demand and characteristic read its
+    density and relative flow, a receiver's density only its density, an
+    input value its input column.  Slots give the rows: a boundary's flows
+    change both rows of each segment it sends from or delivers to.  Every
+    boundary has such a segment, so the columns one group perturbs never
+    meet at a boundary.
+    """
+    t = topo._boundaries
+    nseg, n_x, n_u = topo.n_segments, topo.n_x, topo.n_u
+    s, k = np.arange(nseg), np.arange(n_u)
+    value_cols = np.zeros((4 * nseg + n_u + 2, n_x + n_u), dtype=bool)
+    for v in (s, nseg + s):  # demand, characteristic
+        value_cols[v, 2 * s] = value_cols[v, 2 * s + 1] = True
+    value_cols[2 * nseg + s, 2 * s] = True  # density
+    value_cols[4 * nseg + k, n_x + k] = True  # inputs
+    reads = value_cols[t.legs].any(axis=0)  # (boundaries, columns)
+    slot_rows = np.zeros((t.n_slots, n_x), dtype=bool)
+    slot_rows[s, 2 * s] = slot_rows[s, 2 * s + 1] = True
+    pattern = slot_rows[t.slots].any(axis=0).T @ reads  # (rows, columns)
+    blocks = {"x": slice(0, n_x), "u": slice(n_x, None)}
+    groups = {b: _color(pattern[:, sl]) for b, sl in blocks.items()}
+    base = {}
+    for key in ("x", "u", "xu"):
+        # Boundaries every group reads though some column does not.
+        hidden = np.logical_and.reduce(
+            [(groups[b].groups @ reads[:, blocks[b]].T).all(axis=0) for b in key])
+        shown = np.logical_or.reduce(
+            [~reads[:, blocks[b]].all(axis=1) for b in key])
+        base[key] = np.flatnonzero(hidden & shown)
+    return _JacobianPlan(groups, base)
 
 
 def _inputs(u, topo: Topology) -> np.ndarray:
@@ -571,15 +704,20 @@ def compute_fluxes(x, u, topo: Topology, params: ModelParams,
 
 
 def _net_flux(x, u, topo: Topology, params: ModelParams, ds_scale=None):
-    """Stacked net fluxes and branch-tie margins of one state (1-D x, Python
-    floats) or a population (2-D x, numpy)."""
+    """Stacked net fluxes and branch-tie margins.
+
+    One state (1-D x) is evaluated in Python floats and has one margin, the
+    smallest over its boundaries.  A population (2-D x) is evaluated in
+    numpy and has an (M, boundaries) array of margins.
+    """
     x = np.asarray(x, dtype=float)
-    slots = _slots_one if x.ndim == 1 else _slots_pop
-    q_in, q_out, phi_in, phi_out, margin = slots(x, u, topo, params, ds_scale)
+    if x.ndim != 1:
+        return _net_flux_pop(x, u, topo, params, ds_scale)
+    q_in, q_out, phi_in, phi_out, margin = _slots_one(x, u, topo, params, ds_scale)
     n = topo.n_segments
     f = np.empty(x.shape)
-    f[..., 0::2] = q_in[..., :n] - q_out[..., :n]
-    f[..., 1::2] = phi_in[..., :n] - phi_out[..., :n]
+    f[0::2] = q_in[:n] - q_out[:n]
+    f[1::2] = phi_in[:n] - phi_out[:n]
     return f, margin
 
 
@@ -596,11 +734,10 @@ def build_update_matrices(topo: Topology, params: ModelParams) -> tuple[np.ndarr
     """Linear part A (relaxation) and input gain G = (T/l) I of the update."""
     n_x = topo.n_x
     A = np.zeros((n_x, n_x))
-    for s in range(topo.n_segments):
-        r, ps = 2 * s, 2 * s + 1
-        A[r, r] = 1.0
-        A[ps, r] = params.v_f / params.tau
-        A[ps, ps] = 1.0 - 1.0 / params.tau
+    r = np.arange(0, n_x, 2)
+    A[r, r] = 1.0
+    A[r + 1, r] = params.v_f / params.tau
+    A[r + 1, r + 1] = 1.0 - 1.0 / params.tau
     G = (params.T / params.l) * np.eye(n_x)
     return A, G
 
@@ -695,54 +832,65 @@ def pack_inputs(topo: Topology, d_in: float, w_in: float, rho_out: float,
 # Batched evaluation
 #
 # Sigma-point and ensemble filters propagate dozens of states per time step,
-# and finite-difference stencils evaluate 2*(n_x + n_u) perturbed copies of
-# one state.  A population (2-D input) is evaluated here: the boundary
-# table's gather indices pull every leg value into (M, boundaries) arrays,
-# ``_junction_b`` evaluates all boundaries at once, and the table's slots
-# scatter the flows back.  The same formula exists once more in Python
-# floats (``_junction``) for one state (1-D input).  The population path
-# pays numpy's per-call overhead on every operation whatever M is: on the
-# 9-cell network one evaluation at M = 1 takes 0.30-0.35 ms against 0.08 ms
-# in floats (one core, numpy 2.4), and ``generate_truth`` steps one state
-# at a time.  numpy's SIMD ``power`` also differs from Python's ``**`` in
-# the last bit on some inputs; truth trajectories keep the float bits.
+# and the finite-difference stencils evaluate two perturbed copies of one
+# state per column group (``_compile_jacobian``).  A population (2-D input)
+# is evaluated here: the boundary table's gather indices pull every leg
+# value into (M, boundaries) arrays, ramp and off legs only where they
+# exist, ``_junction_b`` evaluates all boundaries at once, and each
+# segment's net flux is read back from its one inflow and one outflow.  The
+# same formula exists once more in Python floats (``_junction``) for one
+# state (1-D input).  The population path pays numpy's per-call overhead on
+# every operation whatever M is: on the 9-cell network one evaluation at
+# M = 1 takes 0.09-0.17 ms against 0.04-0.08 ms in floats (one core of a
+# 2-vCPU Xeon, numpy 2.4), and ``generate_truth`` steps one state at a time.
+# numpy's SIMD ``power`` also differs from Python's ``**`` in the last bit
+# on some inputs; truth trajectories keep the float bits.  Within the
+# population path an element's result must not depend on M or on the other
+# elements evaluated with it: the colored stencil relies on that to match
+# the dense one bit for bit.
 # ---------------------------------------------------------------------------
 
 
 def _p_b(rho, v_f, rho_m, gamma):
-    return np.where(rho > 0.0,
-                    v_f * (np.maximum(rho, 0.0) / rho_m) ** gamma, 0.0)
+    # No rho > 0 guard: wherever rho <= 0 reaches here the caller masks the
+    # result, and at rho = 0 the power is exactly zero anyway.
+    return v_f * (np.maximum(rho, 0.0) / rho_m) ** gamma
 
 
 def _sigma_b(w, v_f, rho_m, gamma):
     return rho_m * (np.maximum(w, 0.0) / (v_f * (1.0 + gamma))) ** (1.0 / gamma)
 
 
+# Both branches of demand and of supply are ``r (w - p(r))``, at the cell's
+# own density or at the critical one; picking r first evaluates p once.
+
+
 def _demand_b(rho, w, v_f, rho_m, gamma):
     s = _sigma_b(w, v_f, rho_m, gamma)
-    val = np.where(rho <= s,
-                   rho * (w - _p_b(rho, v_f, rho_m, gamma)),
-                   s * (w - _p_b(s, v_f, rho_m, gamma)))
+    r = np.where(rho <= s, rho, s)
+    val = r * (w - _p_b(r, v_f, rho_m, gamma))
     val = np.where((rho <= 0.0) | (w <= 0.0), 0.0, val)
     return np.maximum(val, 0.0)
 
 
 def _supply_b(rho, w_up, v_f, rho_m, gamma):
     s = _sigma_b(w_up, v_f, rho_m, gamma)
-    val = np.where(rho <= s,
-                   s * (w_up - _p_b(s, v_f, rho_m, gamma)),
-                   rho * (w_up - _p_b(rho, v_f, rho_m, gamma)))
+    r = np.where(rho <= s, s, rho)
+    val = r * (w_up - _p_b(r, v_f, rho_m, gamma))
     val = np.where(w_up <= 0.0, 0.0, val)
     return np.maximum(val, 0.0)
 
 
-def _junction_b(D_m, w_m, D_r, w_r, rho_d, s_d, rho_o, s_o, alpha, ramp,
+def _junction_b(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
                 v_f, rho_m, gamma):
     """The junction formula, elementwise over boundaries.
 
-    Legs: main (demand D_m, characteristic w_m), optional ramp (D_r, w_r;
-    ``ramp`` marks it present), downstream (density rho_d, scale s_d) and
-    optional off (rho_o, s_o) taking the share ``alpha`` (0 when absent).
+    Legs: main (demand D_m, characteristic w_m) on every boundary, (M, B);
+    ramp (D_r, w_r) on the first R boundaries, (M, R); receiving legs
+    (density, scale) as ``rho_in``, ``s_in``: downstream on every boundary,
+    then off on the last O, (M, B + O).  The off leg takes the share
+    ``alpha``.
+
     The main leg's priority is ``beta = D_m / (D_m + D_r)`` with a ramp
     leg and 1 without; a merge with no demand at all is dead (beta 0.5,
     no flow).  Supplies use the mixed characteristic
@@ -752,64 +900,69 @@ def _junction_b(D_m, w_m, D_r, w_r, rho_d, s_d, rho_o, s_o, alpha, ramp,
     ramp leg ``q - beta q``; the off leg receives ``alpha q`` and the
     downstream leg ``q - alpha q``, so each split conserves q exactly in
     floating point.  Relative flows are those times ``w_m`` and ``w_r`` going
-    out and the same split of ``q w_bar`` coming in.  Returns the four
-    flows (main, ramp, down, off), the four relative flows, and the gap
-    between the two smallest candidates (inf for a dead merge).
+    out and the same split of ``q w_bar`` coming in.  Without a ramp or an
+    off leg the formula reduces exactly (``D_m / 1``, ``S_d / (1 - 0)``,
+    ``min(x, inf)``) to the main and downstream legs alone, so only the
+    boundaries that have those legs evaluate them.
+
+    Returns the outflows and inflows stacked along axis 1,
+    ``[q_m | q_r | phi_m | phi_r | q_d | q_o | phi_d | phi_o]``, and the
+    (M, B) gap between the two smallest candidates (inf for a dead merge).
     """
-    tot = D_m + D_r
-    pos = tot > 0.0
-    live = pos | ~ramp
-    beta = np.where(live, np.where(ramp, D_m / np.where(pos, tot, 1.0), 1.0),
-                    0.5)
-    w_bar = np.where(ramp, beta * w_m + (1.0 - beta) * w_r, w_m)
-    open_m, open_r, has_off = beta > 0.0, beta < 1.0, alpha > 0.0
-    c_m = np.where(open_m, D_m / np.where(open_m, beta, 1.0), np.inf)
-    c_r = np.where(open_r, D_r / np.where(open_r, 1.0 - beta, 1.0), np.inf)
-    a = np.minimum(c_m, c_r)
-    b = s_d * _supply_b(rho_d, w_bar, v_f, rho_m, gamma) / (1.0 - alpha)
-    c = np.where(has_off, s_o * _supply_b(rho_o, w_bar, v_f, rho_m, gamma)
-                 / np.where(has_off, alpha, 1.0), np.inf)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    first = np.minimum(lo, c)
-    second = np.maximum(lo, np.minimum(hi, c))
-    q = np.where(live, first, 0.0)
-    gap = np.where(live, second - first, np.inf)
-    q_m = beta * q
-    q_o = alpha * q
+    R, O, B = t.n_ramp, t.n_off, D_m.shape[1]
+    D_k = D_m[:, :R]
+    tot = D_k + D_r
+    live = tot > 0.0
+    beta = np.divide(D_k, tot, out=np.full_like(tot, 0.5), where=live)
+    rest = 1.0 - beta
+    c_m = np.divide(D_k, beta, out=np.full_like(tot, np.inf), where=beta > 0.0)
+    c_r = np.divide(D_r, rest, out=np.full_like(tot, np.inf), where=beta < 1.0)
+    a = np.concatenate((np.minimum(c_m, c_r), D_m[:, R:]), axis=1)
+    w_bar = np.concatenate((beta * w_m[:, :R] + rest * w_r, w_m[:, R:]), axis=1)
+    # Downstream and off supplies in one call: S_d / (1 - alpha), S_o / alpha.
+    w_in = np.concatenate((w_bar, w_bar[:, B - O:]), axis=1)
+    cand = s_in * _supply_b(rho_in, w_in, v_f, rho_m, gamma) / t.divisor
+    q, second = np.minimum(a, cand[:, :B]), np.maximum(a, cand[:, :B])
+    lo, hi, c = q[:, B - O:], second[:, B - O:], cand[:, B:]
+    np.maximum(lo, np.minimum(hi, c), out=hi)
+    np.minimum(lo, c, out=lo)
+    gap = second - q
+    q[:, :R] = np.where(live, q[:, :R], 0.0)
+    gap[:, :R] = np.where(live, gap[:, :R], np.inf)
+    q_m = np.concatenate((beta * q[:, :R], q[:, R:]), axis=1)
+    q_r = q[:, :R] - q_m[:, :R]
     phi = q * w_bar
-    phi_o = alpha * phi
-    # Without an off leg the inflow is q itself, signed zeros included.
-    q_d = np.where(has_off, q - q_o, q)
-    phi_d = np.where(has_off, phi - phi_o, phi)
-    return (q_m, q - q_m, q_d, q_o,
-            q_m * w_m, (q - q_m) * w_r, phi_d, phi_o, gap)
+    q_o, phi_o = t.alpha_off * q[:, B - O:], t.alpha_off * phi[:, B - O:]
+    flows = np.concatenate((q_m, q_r, q_m * w_m, q_r * w_r,
+                            q[:, :B - O], q[:, B - O:] - q_o, q_o,
+                            phi[:, :B - O], phi[:, B - O:] - phi_o, phi_o), axis=1)
+    return flows, gap
 
 
-def _slots_pop(X, u, topo: Topology, params: ModelParams, ds_scale=None):
-    """Slot fluxes (M, slots) and per-row branch-tie margins of a population.
+def _net_flux_pop(X, u, topo: Topology, params: ModelParams, ds_scale=None):
+    """Net fluxes (M, n_x) and branch-tie margins (M, boundaries) of a
+    population.
 
     ``u`` is one input vector shared by all rows or an (M, n_u) array of
     per-row inputs.
     """
     v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
     t = topo._boundaries
-    m, nseg = X.shape[0], topo.n_segments
-    sc = np.ones(nseg) if ds_scale is None else np.asarray(ds_scale, dtype=float)
+    nseg = topo.n_segments
+    sc = 1.0 if ds_scale is None else np.asarray(ds_scale, dtype=float)
     rho, psi = X[:, 0::2], X[:, 1::2]
-    W = psi / np.maximum(rho, EPS_RHO)
-    D = sc * _demand_b(rho, W, v_f, rho_m, gamma)
-    V = np.concatenate((
-        D, W, rho, np.broadcast_to(sc, (m, nseg)),
-        np.broadcast_to(_inputs(u, topo), (m, topo.n_u)),
-        np.broadcast_to((0.0, 1.0), (m, 2))), axis=1)
-    *flows, gap = _junction_b(*V[:, t.legs].transpose(1, 0, 2), t.alpha,
-                              t.ramp, v_f, rho_m, gamma)
-    q_in, q_out, f_in, f_out = np.zeros((4, m, t.n_slots))
-    o_m, o_r, i_d, i_o = t.slots
-    for dest, idx, val in zip((q_out, q_out, q_in, q_in, f_out, f_out, f_in, f_in),
-                              (o_m, o_r, i_d, i_o) * 2, flows):
-        dest[:, idx] = val
-    return q_in, q_out, f_in, f_out, gap.min(axis=1)
+    V = np.empty((X.shape[0], 4 * nseg + topo.n_u + 2))
+    W = np.divide(psi, np.maximum(rho, EPS_RHO), out=V[:, nseg:2 * nseg])
+    V[:, :nseg] = sc * _demand_b(rho, W, v_f, rho_m, gamma)
+    V[:, 2 * nseg:3 * nseg] = rho
+    V[:, 3 * nseg:4 * nseg] = sc
+    V[:, 4 * nseg:-2] = _inputs(u, topo)
+    V[:, -2:] = (0.0, 1.0)
+    V = V.take(t.gather, axis=1)
+    flows, gap = _junction_b(*(V[:, sl] for sl in t.gather_legs), t,
+                             v_f, rho_m, gamma)
+    f = flows.take(t.inflow, axis=1) - flows.take(t.outflow, axis=1)
+    return f, gap
 
 
 def step_batch(X, u, topo: Topology, params: ModelParams,

@@ -24,6 +24,7 @@ from arzest.mhe import (
     HorizonEntry,
     MheConfig,
     MheSession,
+    QPProblem,
     assemble_qp,
     operating_point,
     predict_arrival,
@@ -206,6 +207,28 @@ def test_newton_interior_optimum_is_the_direct_solve():
     z, info = solve_box_qp_newton(qp)
     assert info.converged and info.iterations == 0
     np.testing.assert_array_equal(z, z_direct)
+
+
+def test_newton_accepts_a_gradient_at_its_roundoff_floor():
+    """With |q| of 1e10 the gradient 2Hz + q of a well-conditioned QP
+    cannot be computed to 1e-8 anywhere: its rounding error is of order
+    eps |q|.  Every coordinate stays below its floor eps (2|H||z| + |q|),
+    so the direct solve is accepted at once and the floor is recorded."""
+    rng = np.random.default_rng(306)
+    for _ in range(10):
+        M = rng.standard_normal((6, 6))
+        H = (M.T @ M + np.eye(6)) * 1e4
+        q = rng.uniform(-1.0, 1.0, 6) * 1e10
+        qp = QPProblem(H, q, np.full(6, -1e12), np.full(6, 1e12), const=0.0,
+                       n_blocks=1, n_x=6)
+        z, info = solve_box_qp_newton(qp)
+        assert info.kkt_residual > 1e-8
+        assert info.converged and info.iterations == 0
+        assert info.kkt_residual <= info.kkt_floor
+        np.testing.assert_array_equal(z, np.linalg.solve(H, -0.5 * q))
+    # The floor is computed only once the plain test fails.
+    _, info = solve_box_qp_newton(random_small_qp(rng, 6))
+    assert info.converged and info.kkt_floor == 0.0
 
 
 def test_singular_hessian_falls_back_to_projected_gradient(topo, params):

@@ -1,5 +1,5 @@
-"""Properties of the flux evaluators over random networks, parameters, states
-and inputs.
+"""Properties of the flux evaluators and of the linearization over random
+networks, parameters, states and inputs.
 
 Networks range over one to twelve mainline cells and always include the
 edge cases: no ramps at all, and an on-ramp into cell 1 together with an
@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arzest.linearize import jacobian_fu, jacobian_fx, linearize_model
 from arzest.model import (
     ModelParams,
     OffRamp,
@@ -22,7 +23,10 @@ from arzest.model import (
     state_bounds,
     step,
     step_batch,
+    supply,
 )
+
+from stencil_oracles import columnwise_jacobians, columnwise_linearization
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150,
                     database=None)
@@ -126,3 +130,46 @@ def test_step_stays_in_box_without_blowup(case):
         assert np.all(x_new >= lo) and np.all(x_new <= hi)
     X_new = step_batch(X, U, topo, p, ds_scale=scale)
     assert np.all(X_new >= lo) and np.all(X_new <= hi)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@PROPERTY
+@given(cases(rows=1))
+def test_colored_stencil_matches_columnwise_stencil(case):
+    topo, p, X, U, scale = case
+    x0, u0 = X[0], U[0]
+    lin = linearize_model(x0, u0, topo, p, ds_scale=scale)
+    A, B, c1, tie = columnwise_linearization(x0, u0, topo, p, ds_scale=scale)
+    assert _same_bits(lin.A_tilde, A)
+    assert _same_bits(lin.B, B)
+    assert _same_bits(lin.c1, c1)
+    assert lin.branch_tie == tie
+    for fn, (J, tie) in zip((jacobian_fx, jacobian_fu),
+                            columnwise_jacobians(x0, u0, topo, p, ds_scale=scale)):
+        J_got, tie_got = fn(x0, u0, topo, p, ds_scale=scale)
+        assert _same_bits(J_got, J)
+        assert tie_got == tie
+
+
+def test_unperturbed_tie_counts_where_every_group_reads_the_boundary():
+    """On a plain chain both input groups read the entry boundary, so every
+    colored input row perturbs it.  A tie there in the unperturbed state is
+    seen by the column-by-column stencil in its exit-density rows and must
+    still be flagged."""
+    topo = Topology(n_mainline=3)
+    p = ModelParams(v_f=102.0, rho_m=345.0, tau=20.0, gamma=1.75,
+                    T=1.0 / 3600.0, l=0.1)
+    assert topo._jacobian.base["u"].size  # the premise: no group spares it
+    # Free-flowing cells, so that only the entry boundary ties: its demand
+    # equals the supply of cell 1, the capacity for w_in.
+    x0 = np.array([40.0, 40.0 * 90.0, 60.0, 60.0 * 95.0, 40.0, 40.0 * 100.0])
+    w_in = 102.0
+    u0 = np.array([supply(x0[0], w_in, p), w_in, 30.0])
+    (_, tie_x), (_, tie_u) = columnwise_jacobians(x0, u0, topo, p)
+    assert tie_u
+    assert jacobian_fu(x0, u0, topo, p)[1] == tie_u
+    assert jacobian_fx(x0, u0, topo, p)[1] == tie_x
+    assert linearize_model(x0, u0, topo, p).branch_tie
