@@ -14,9 +14,13 @@ the scaled space (relative-flow rows divided by v_f).
 
 The quadratic program is solved by projected Newton (Bertsekas 1982)
 started from the unconstrained minimiser, so a window whose bounds are all
-inactive costs one direct solve.  Accelerated projected gradient descent
-remains as the fallback, for a Hessian that cannot be factored and for a
-Newton run that does not converge within its budget.
+inactive costs one direct solve.  The window Hessian is block tridiagonal
+over the horizon (Rao, Wright & Rawlings 1998), and every Newton system,
+the start point's included, is solved by block elimination along the
+window: one LU per block instead of one on the whole window.  Accelerated
+projected gradient descent remains as the fallback, for a Hessian that
+cannot be factored and for a Newton run that does not converge within its
+budget.
 """
 from __future__ import annotations
 
@@ -133,7 +137,13 @@ class HorizonBuffer:
 
 @dataclass
 class QPProblem:
-    """min z^T H z + q^T z + const subject to z_min <= z <= z_max."""
+    """min z^T H z + q^T z + const subject to z_min <= z <= z_max.
+
+    z stacks ``n_blocks`` blocks of ``n_x``, block b the state at window
+    time ``start + b``.  H is block tridiagonal: every entry outside the
+    diagonal blocks and the blocks next to them is exactly zero, since
+    only consecutive states share a model residual.
+    """
 
     H: np.ndarray
     q: np.ndarray
@@ -376,6 +386,37 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 5000,
                                   best_f + qp.const, hist, noise, restarts)
 
 
+def _solve_blocks(H: np.ndarray, rhs: np.ndarray, n_x: int, n_blocks: int
+                  ) -> np.ndarray:
+    """Solve H x = rhs for a block-tridiagonal H of ``n_blocks`` blocks of
+    ``n_x`` by block elimination along the horizon.
+
+    Going down the window, each pivot block D_b is factored once, for its
+    coupling block and the eliminated right-hand side together:
+    [G_{b+1} | y_b] = D_b^-1 [H_{b,b+1} | r_b], after which
+    D_{b+1} = H_{b+1,b+1} - H_{b+1,b} G_{b+1} and
+    r_{b+1} = rhs_{b+1} - H_{b+1,b} y_b.  The back pass
+    x_b = y_b - G_{b+1} x_{b+1} refactors nothing.  With one block this is
+    ``np.linalg.solve(H, rhs)``.  Entries of H outside the band are never
+    read.  Raises ``np.linalg.LinAlgError`` on a singular pivot block.
+    """
+    sl = lambda b: slice(b * n_x, (b + 1) * n_x)
+    D, r = H[sl(0), sl(0)], rhs[sl(0)]
+    passes = []
+    for b in range(n_blocks - 1):
+        X = np.linalg.solve(D, np.column_stack((H[sl(b), sl(b + 1)], r)))
+        LX = H[sl(b + 1), sl(b)] @ X
+        D = H[sl(b + 1), sl(b + 1)] - LX[:, :n_x]
+        r = rhs[sl(b + 1)] - LX[:, n_x]
+        passes.append(X)
+    x = np.empty(rhs.shape)
+    x[sl(n_blocks - 1)] = np.linalg.solve(D, r)
+    for b in reversed(range(n_blocks - 1)):
+        X = passes[b]
+        x[sl(b)] = X[:, n_x] - X[:, :n_x] @ x[sl(b + 1)]
+    return x
+
+
 def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
                         ) -> tuple[np.ndarray, SolveInfo]:
     """Projected Newton method on a box-constrained QP (Bertsekas 1982).
@@ -384,17 +425,22 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
     box, so a problem whose bounds are all inactive converges after 0
     iterations.  Each iteration holds the epsilon-active bounds whose
     gradient points out of the box on a diagonally scaled step, takes a
-    Newton step on the free block, and backtracks (Armijo) along the
-    projection arc.  Terminates on the same projected-KKT test as
+    Newton step on the free coordinates, and backtracks (Armijo) along the
+    projection arc.  Every linear system, the start point's and each
+    step's, is solved by block elimination over the ``qp.n_blocks`` blocks
+    of ``qp.n_x`` (``_solve_blocks``), which reads only the block-tridiagonal
+    band of H.  Terminates on the same projected-KKT test as
     ``solve_box_qp``, or, once that fails, when every coordinate's projected
     gradient lies below the gradient's roundoff floor at that coordinate
     (``SolveInfo.kkt_floor``); every iterate lies in the box exactly.  If
     the budget runs out or a line search stalls, the last iterate is
     returned with the converged flag false.  Raises
-    ``np.linalg.LinAlgError`` when H cannot be factored.
+    ``np.linalg.LinAlgError`` when a pivot block of the elimination is
+    singular, as it is for a singular H.
     """
     H, q, lo, hi = qp.H, qp.q, qp.z_min, qp.z_max
-    z = np.clip(np.linalg.solve(H, -0.5 * q), lo, hi)
+    n_x, n_b = qp.n_x, qp.n_blocks
+    z = np.clip(_solve_blocks(H, -0.5 * q, n_x, n_b), lo, hi)
     h_diag = np.diag(H)
     Hz = H @ z
     f = float(z @ Hz + q @ z)
@@ -414,12 +460,14 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
         eps = min(NEWTON_EPS, float(np.linalg.norm(z - np.clip(z - g, lo, hi))))
         held = ((z <= lo + eps) & (g > 0.0)) | ((z >= hi - eps) & (g < 0.0))
         free = ~held
-        if held.any():
-            d = -0.5 * g / h_diag
-            if free.any():
-                d[free] = -0.5 * np.linalg.solve(H[np.ix_(free, free)], g[free])
-        else:
-            d = -0.5 * np.linalg.solve(H, g)
+        # Decouple the held coordinates: with their rows and columns zeroed
+        # and their diagonal kept, one solve gives the Newton step on the
+        # free block and the diagonal step on the held one.
+        H_step = H.copy()
+        H_step[held, :] = 0.0
+        H_step[:, held] = 0.0
+        H_step[held, held] = h_diag[held]
+        d = -0.5 * _solve_blocks(H_step, g, n_x, n_b)
         # Armijo along the arc P(z + a d): the free block is credited with a
         # times its linear decrease, the held bounds with the decrease of
         # what they actually move (Bertsekas 1982, eq. 32).

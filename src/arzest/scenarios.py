@@ -449,12 +449,10 @@ def _run_cells(sc, sweep, cells, truth, jobs: int) -> list[dict]:
     itself from the back until the two meet, rather than fork one more
     copy of itself and wait.  Each process gets an equal share of the
     cores as BLAS threads.  With the library's default, one thread per
-    core in every process, the MHE's dense solves in different processes
+    core in every process, the MHE's solves in different processes
     spin against each other and a cell's time swings up to tenfold with
     how they overlap.  Rows come back in cell order either way, so the
-    output is deterministic regardless of worker scheduling; with fewer
-    BLAS threads than a serial run, an MHE row may differ from the serial
-    one in the last digits.
+    output is deterministic regardless of worker scheduling.
     """
     tasks = [(sc, sweep, knob, spec, truth, cell)
              for (knob, spec, cell) in cells]

@@ -94,7 +94,15 @@ def test_qp_weights_enter_objective():
     assert quad == pytest.approx(direct, rel=1e-8)
 
 
+def _outside_band(n_x, n_blocks):
+    """Mask of the entries outside the block-tridiagonal band."""
+    b = np.arange(n_x * n_blocks) // n_x
+    return np.abs(b[:, None] - b[None, :]) > 1
+
+
 def test_qp_hessian_positive_definite():
+    """H is symmetric positive definite, and exactly zero outside the
+    block-tridiagonal band, which is all the block elimination reads."""
     rng = np.random.default_rng(43)
     for horizon in (1, 3, 5):
         buf = random_buffer(rng, horizon, horizon + 2)
@@ -102,6 +110,61 @@ def test_qp_hessian_positive_definite():
                          np.full(6, -10.0), np.full(6, 10.0))
         assert np.allclose(qp.H, qp.H.T, atol=1e-12)
         assert np.linalg.eigvalsh(qp.H)[0] > 0
+        assert np.all(qp.H[_outside_band(qp.n_x, qp.n_blocks)] == 0.0)
+
+
+def _held_decoupled(H, held):
+    """H with the held rows and columns zeroed and their diagonal kept."""
+    out = H.copy()
+    out[held, :] = 0.0
+    out[:, held] = 0.0
+    out[held, held] = np.diag(H)[held]
+    return out
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 6])
+def test_block_solve_matches_dense_solve(horizon):
+    """Block elimination along the window agrees with a dense solve on
+    window Hessians, growing windows included, and on copies with held
+    coordinates decoupled: random masks, one block fully held, and every
+    coordinate held.  A single block is the dense solve exactly."""
+    rng = np.random.default_rng(500 + horizon)
+    cfg = MheConfig(horizon=horizon)
+    n_x = 6
+    for n_steps in range(1, horizon + 3):
+        buf = random_buffer(rng, horizon, n_steps, n_x=n_x)
+        qp = assemble_qp(buf, rng.standard_normal(n_x), cfg,
+                         np.full(n_x, -10.0), np.full(n_x, 10.0))
+        n_z = qp.H.shape[0]
+        block = np.arange(n_z) // n_x
+        masks = [np.zeros(n_z, bool), rng.random(n_z) < 0.3,
+                 rng.random(n_z) < 0.7, block == rng.integers(qp.n_blocks),
+                 np.ones(n_z, bool)]
+        for held in masks:
+            H = _held_decoupled(qp.H, held)
+            rhs = rng.standard_normal(n_z)
+            x = mhe._solve_blocks(H, rhs, n_x, qp.n_blocks)
+            x_dense = np.linalg.solve(H, rhs)
+            if qp.n_blocks == 1:
+                np.testing.assert_array_equal(x, x_dense)
+            else:
+                np.testing.assert_allclose(
+                    x, x_dense, rtol=0, atol=1e-12 * np.abs(x_dense).max())
+            np.testing.assert_allclose(x[held], rhs[held] / np.diag(H)[held],
+                                       rtol=1e-14)
+
+
+def test_block_solve_raises_on_a_singular_pivot():
+    """With no measurement and no model weight, every block after the
+    arrival block is zero."""
+    rng = np.random.default_rng(44)
+    buf = random_buffer(rng, 3, 4)
+    qp = assemble_qp(buf, rng.standard_normal(6),
+                     MheConfig(horizon=3, w1=0.0, w2=0.0),
+                     np.full(6, -10.0), np.full(6, 10.0))
+    assert qp.n_blocks == 4
+    with pytest.raises(np.linalg.LinAlgError):
+        mhe._solve_blocks(qp.H, qp.q, qp.n_x, qp.n_blocks)
 
 
 def test_buffer_rejects_time_gap():
@@ -180,23 +243,47 @@ def test_solver_reports_exhaustion():
     assert info.iterations == 3
 
 
+def _check_newton_against_brute_force(qp, pushed):
+    if pushed:
+        qp.q[:] = -50.0  # push the optimum against the upper bounds
+    z_star, f_star = brute_force_box_qp(qp.H, qp.q, qp.z_min, qp.z_max)
+    z, info = solve_box_qp_newton(qp, tol_kkt=1e-10)
+    assert info.converged and info.solver == "newton"
+    assert np.all(z >= qp.z_min) and np.all(z <= qp.z_max)
+    if pushed:
+        assert np.any(z == qp.z_max)
+    f = float(z @ qp.H @ z + qp.q @ z)
+    assert f <= f_star + 1e-6 * (1.0 + abs(f_star))
+    np.testing.assert_allclose(z, z_star, rtol=1e-5, atol=1e-5)
+    return info
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("pushed", [False, True])
 def test_newton_matches_brute_force(n, pushed):
     rng = np.random.default_rng(400 + n)
     for _ in range(20):
-        qp = random_small_qp(rng, n)
-        if pushed:
-            qp.q[:] = -50.0  # push the optimum against the upper bounds
-        z_star, f_star = brute_force_box_qp(qp.H, qp.q, qp.z_min, qp.z_max)
-        z, info = solve_box_qp_newton(qp, tol_kkt=1e-10)
-        assert info.converged and info.solver == "newton"
-        assert np.all(z >= qp.z_min) and np.all(z <= qp.z_max)
-        if pushed:
-            assert np.any(z == qp.z_max)
-        f = float(z @ qp.H @ z + qp.q @ z)
-        assert f <= f_star + 1e-6 * (1.0 + abs(f_star))
-        np.testing.assert_allclose(z, z_star, rtol=1e-5, atol=1e-5)
+        _check_newton_against_brute_force(random_small_qp(rng, n), pushed)
+
+
+@pytest.mark.parametrize("pushed", [False, True])
+def test_newton_matches_brute_force_on_windows(pushed):
+    """Window QPs of several blocks (n_z 6: 3 blocks of 2, 2 blocks of 3),
+    whose start point and Newton steps the block elimination solves, in
+    boxes that cut off their unconstrained minimiser."""
+    rng = np.random.default_rng(420 + pushed)
+    iterated = 0
+    for n_x, n_blocks in [(2, 3), (3, 2)] * 10:
+        buf = random_buffer(rng, n_blocks - 1, n_blocks, n_x=n_x, n_u=2,
+                            n_y=2)
+        center = rng.standard_normal(n_x)
+        width = rng.uniform(0.2, 2.0, n_x)
+        qp = assemble_qp(buf, rng.standard_normal(n_x),
+                         MheConfig(horizon=n_blocks - 1),
+                         center - width, center + width)
+        assert qp.n_blocks == n_blocks
+        iterated += _check_newton_against_brute_force(qp, pushed).iterations > 0
+    assert iterated > 0
 
 
 def test_newton_interior_optimum_is_the_direct_solve():
