@@ -16,11 +16,11 @@ from .linearize import linearize_measurement, linearize_model
 from .model import (
     ModelParams,
     Topology,
+    _update,
     measure_h,
     measure_h_batch,
     state_bounds,
     state_scale,
-    step,
     step_batch,
 )
 
@@ -116,7 +116,9 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     lin = linearize_model(state.x, u, topo, params)
     # Similarity-transform the affine model into the scaled space.
     As = lin.A_tilde * (d[None, :] / d[:, None])
-    x_pred = step(state.x, u, topo, params)
+    # The nonlinear prediction step(x, u), from the flux the linearization
+    # already evaluated at x.
+    x_pred = _update(state.x, lin.f0, topo, params)
     P_pred = _sym(As @ state.P @ As.T + cfg.q * np.eye(n))
 
     C_sel = np.asarray(C_sel, dtype=float)

@@ -54,7 +54,8 @@ TIE_TOL = 1e-6
 
 @dataclass
 class LinearizedModel:
-    """Affine update model, exact at (x0, u0)."""
+    """Affine update model, exact at (x0, u0).  ``f0`` is the net flux
+    ``nonlinear_f(x0, u0)`` the model was built from."""
 
     A_tilde: np.ndarray
     B: np.ndarray
@@ -62,6 +63,7 @@ class LinearizedModel:
     x0: np.ndarray
     u0: np.ndarray
     branch_tie: bool = False
+    f0: np.ndarray | None = None
 
 
 @dataclass
@@ -153,7 +155,7 @@ def linearize_model(x0, u0, topo: Topology, params: ModelParams,
     A_tilde = A + g * Jx
     B = g * Ju
     c1 = g * (f0 - Jx @ x0 - Ju @ u0)
-    return LinearizedModel(A_tilde, B, c1, x0, u0, tie)
+    return LinearizedModel(A_tilde, B, c1, x0, u0, tie, f0)
 
 
 def measurement_jacobian(x0, params: ModelParams,

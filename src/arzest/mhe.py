@@ -12,15 +12,20 @@ shrinks at startup: until step N the window start stays pinned at time 0
 and the arrival state is the initial guess.  All blocks are assembled in
 the scaled space (relative-flow rows divided by v_f).
 
+The window Hessian is block tridiagonal over the horizon (Rao, Wright &
+Rawlings 1998).  Each buffer entry computes its Gram products once, when it
+enters the buffer, and every window that holds it only scales and adds them
+into the band: the diagonal and sub-diagonal blocks.  The dense Hessian is
+built from the band only when something reads it.
+
 The quadratic program is solved by projected Newton (Bertsekas 1982)
 started from the unconstrained minimiser, so a window whose bounds are all
-inactive costs one direct solve.  The window Hessian is block tridiagonal
-over the horizon (Rao, Wright & Rawlings 1998), and every Newton system,
-the start point's included, is solved by block elimination along the
-window: one LU per block instead of one on the whole window.  Accelerated
-projected gradient descent remains as the fallback, for a Hessian that
-cannot be factored and for a Newton run that does not converge within its
-budget.
+inactive costs one direct solve.  Newton reads only the band: every linear
+system, the start point's included, is solved by block elimination along
+the window, one LU per block instead of one on the whole window, and its
+matrix-vector products are block products.  Accelerated projected gradient
+descent remains as the fallback, for a Hessian that cannot be factored and
+for a Newton run that does not converge within its budget.
 """
 from __future__ import annotations
 
@@ -93,11 +98,19 @@ class MheConfig:
             raise ValueError("mu + w2 must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HorizonEntry:
     """Frozen per-step data: the measurement at ``time`` and the affine
     model of the transition into ``time`` (all in scaled space, except
-    ``u`` which keeps its natural units for the arrival prediction)."""
+    ``u`` which keeps its natural units for the arrival prediction).
+
+    The window terms of the entry are computed once, on creation: the
+    measurement products ``CtC = C_s' C_s``, ``Cty = C_s' (y - c2)`` and
+    ``yy = |y - c2|^2``, and the transition products ``r = B_s u + c1_s``,
+    ``AtA = A_s' A_s``, ``Atr = A_s' r`` and ``rr = |r|^2``.  The entry is
+    frozen and its arrays are read-only, so the cached terms cannot go
+    stale.
+    """
 
     time: int
     y: np.ndarray
@@ -107,6 +120,33 @@ class HorizonEntry:
     B_s: np.ndarray
     c1_s: np.ndarray
     u: np.ndarray
+    CtC: np.ndarray = field(init=False, repr=False)
+    Cty: np.ndarray = field(init=False, repr=False)
+    yy: float = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
+    AtA: np.ndarray = field(init=False, repr=False)
+    Atr: np.ndarray = field(init=False, repr=False)
+    rr: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        def put(name, value):
+            if isinstance(value, np.ndarray):
+                value = value.view()
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+        for name in ("y", "C_s", "c2", "A_s", "B_s", "c1_s", "u"):
+            put(name, getattr(self, name))
+        C, A = self.C_s, self.A_s
+        resid = self.y - self.c2
+        r = self.B_s @ self.u + self.c1_s
+        put("CtC", C.T @ C)
+        put("Cty", C.T @ resid)
+        put("yy", float(resid @ resid))
+        put("r", r)
+        put("AtA", A.T @ A)
+        put("Atr", A.T @ r)
+        put("rr", float(r @ r))
 
 
 class HorizonBuffer:
@@ -135,23 +175,48 @@ class HorizonBuffer:
         raise KeyError(f"no buffer entry for time {time}")
 
 
-@dataclass
 class QPProblem:
     """min z^T H z + q^T z + const subject to z_min <= z <= z_max.
 
     z stacks ``n_blocks`` blocks of ``n_x``, block b the state at window
-    time ``start + b``.  H is block tridiagonal: every entry outside the
-    diagonal blocks and the blocks next to them is exactly zero, since
-    only consecutive states share a model residual.
+    time ``start + b``.  H is symmetric and block tridiagonal: every entry
+    outside the diagonal blocks and the blocks next to them is exactly
+    zero, since only consecutive states share a model residual.  The band
+    is stored as the diagonal blocks ``D`` (n_blocks, n_x, n_x),
+    ``D[b] = H_bb``, and the sub-diagonal blocks ``E`` (n_blocks - 1, n_x,
+    n_x), ``E[b] = H_{b+1,b}``; the block above the diagonal is
+    ``E[b]^T``.  The dense ``H`` is built from the band the first time it
+    is read, and kept.
+
+    ``QPProblem(H, q, z_min, z_max, const, n_blocks, n_x)`` takes a dense
+    H and reads the band from it; entries outside the band are then kept
+    in ``H`` but not read by projected Newton.  ``assemble_qp`` passes
+    ``H=None`` and the band as ``D`` and ``E``.
     """
 
-    H: np.ndarray
-    q: np.ndarray
-    z_min: np.ndarray
-    z_max: np.ndarray
-    const: float
-    n_blocks: int
-    n_x: int
+    def __init__(self, H, q, z_min, z_max, const, n_blocks, n_x, D=None,
+                 E=None):
+        self.q, self.z_min, self.z_max, self.const = q, z_min, z_max, const
+        self.n_blocks, self.n_x = n_blocks, n_x
+        self._H = H
+        if H is not None:
+            Hb = np.asarray(H).reshape(n_blocks, n_x, n_blocks, n_x)
+            b = np.arange(n_blocks)
+            D, E = Hb[b, :, b, :], Hb[b[1:], :, b[:-1], :]
+        self.D, self.E = D, E
+
+    @property
+    def H(self) -> np.ndarray:
+        """The dense Hessian, built from the band on first use."""
+        if self._H is None:
+            n_b, n_x = self.n_blocks, self.n_x
+            H = np.zeros((n_b, n_x, n_b, n_x))
+            b = np.arange(n_b)
+            H[b, :, b, :] = self.D
+            H[b[1:], :, b[:-1], :] = self.E
+            H[b[:-1], :, b[1:], :] = self.E.transpose(0, 2, 1)
+            self._H = H.reshape(n_b * n_x, n_b * n_x)
+        return self._H
 
 
 @dataclass
@@ -194,6 +259,8 @@ def assemble_qp(buf: HorizonBuffer, x_bar_s, cfg: MheConfig,
     Block b holds the state at window time ``start + b``.  The oldest
     entry contributes only its measurement; every newer entry contributes
     its measurement and the transition linking it to the previous block.
+    Only the band of H is filled, by scaling and adding the terms each
+    entry cached; no dense H is formed.
     """
     if not buf.entries:
         raise ValueError("cannot assemble an empty buffer")
@@ -201,16 +268,16 @@ def assemble_qp(buf: HorizonBuffer, x_bar_s, cfg: MheConfig,
     start = buf.window_start()
     n_x = buf.entries[-1].A_s.shape[0]
     n_b = t - start + 1
-    n_z = n_b * n_x
-    H = np.zeros((n_z, n_z))
-    q = np.zeros(n_z)
+    D = np.zeros((n_b, n_x, n_x))
+    E = np.zeros((n_b - 1, n_x, n_x))
+    q = np.zeros(n_b * n_x)
+    Q = q.reshape(n_b, n_x)
     const = 0.0
+    diag = D.reshape(n_b, n_x * n_x)[:, ::n_x + 1]  # a view of each diagonal
 
     x_bar_s = np.asarray(x_bar_s, dtype=float)
-    sl = lambda b: slice(b * n_x, (b + 1) * n_x)
-
-    H[sl(0), sl(0)] += cfg.mu * np.eye(n_x)
-    q[sl(0)] += -2.0 * cfg.mu * x_bar_s
+    diag[0] += cfg.mu
+    Q[0] += -2.0 * cfg.mu * x_bar_s
     const += cfg.mu * float(x_bar_s @ x_bar_s)
 
     for e in buf.entries:
@@ -218,24 +285,20 @@ def assemble_qp(buf: HorizonBuffer, x_bar_s, cfg: MheConfig,
         if b < 0:
             continue
         if e.C_s.shape[0] > 0 and cfg.w1 > 0:
-            resid = e.y - e.c2
-            H[sl(b), sl(b)] += cfg.w1 * (e.C_s.T @ e.C_s)
-            q[sl(b)] += -2.0 * cfg.w1 * (e.C_s.T @ resid)
-            const += cfg.w1 * float(resid @ resid)
+            D[b] += cfg.w1 * e.CtC
+            Q[b] += -2.0 * cfg.w1 * e.Cty
+            const += cfg.w1 * e.yy
         if e.time > start and cfg.w2 > 0:
-            r = e.B_s @ e.u + e.c1_s
-            A = e.A_s
-            H[sl(b), sl(b)] += cfg.w2 * np.eye(n_x)
-            H[sl(b - 1), sl(b - 1)] += cfg.w2 * (A.T @ A)
-            H[sl(b), sl(b - 1)] += -cfg.w2 * A
-            H[sl(b - 1), sl(b)] += -cfg.w2 * A.T
-            q[sl(b)] += -2.0 * cfg.w2 * r
-            q[sl(b - 1)] += 2.0 * cfg.w2 * (A.T @ r)
-            const += cfg.w2 * float(r @ r)
+            diag[b] += cfg.w2
+            D[b - 1] += cfg.w2 * e.AtA
+            E[b - 1] -= cfg.w2 * e.A_s
+            Q[b] += -2.0 * cfg.w2 * e.r
+            Q[b - 1] += 2.0 * cfg.w2 * e.Atr
+            const += cfg.w2 * e.rr
 
-    z_min = np.tile(np.asarray(lo_s, dtype=float), n_b)
-    z_max = np.tile(np.asarray(hi_s, dtype=float), n_b)
-    return QPProblem(H, q, z_min, z_max, const, n_b, n_x)
+    z_min = np.concatenate((np.asarray(lo_s, dtype=float),) * n_b)
+    z_max = np.concatenate((np.asarray(hi_s, dtype=float),) * n_b)
+    return QPProblem(None, q, z_min, z_max, const, n_b, n_x, D, E)
 
 
 def _power_iteration_l(H: np.ndarray, iters: int = 200) -> float:
@@ -277,12 +340,24 @@ def _kkt_residual(z, g, lo, hi) -> float:
     return float(np.max(_projected_gradient(z, g, lo, hi)))
 
 
-def _below_roundoff(z, g, qp: QPProblem, abs_h, tol_kkt: float):
+def _band_matvec(D, E, z) -> np.ndarray:
+    """H z for the symmetric block-tridiagonal H with diagonal blocks D and
+    sub-diagonal blocks E, as batched block products."""
+    Z = z.reshape(D.shape[:2])
+    out = np.matmul(D, Z[:, :, None])[:, :, 0]
+    if len(E):
+        out[1:] += np.matmul(E, Z[:-1, :, None])[:, :, 0]
+        out[:-1] += np.matmul(Z[1:, None, :], E)[:, 0, :]
+    return out.ravel()
+
+
+def _below_roundoff(z, g, qp: QPProblem, abs_band, tol_kkt: float):
     """Whether every coordinate's projected gradient lies below
     ``max(tol_kkt, eps (2|H||z| + |q|))``, the larger of the tolerance and
     the roundoff floor of the gradient ``2Hz + q`` at that coordinate, and
-    the largest floor."""
-    floor = np.finfo(float).eps * (2.0 * (abs_h @ np.abs(z)) + np.abs(qp.q))
+    the largest floor.  ``abs_band`` is the band of |H|."""
+    floor = np.finfo(float).eps * (
+        2.0 * _band_matvec(*abs_band, np.abs(z)) + np.abs(qp.q))
     r = _projected_gradient(z, g, qp.z_min, qp.z_max)
     return bool(np.all(r <= np.maximum(tol_kkt, floor))), float(floor.max())
 
@@ -386,35 +461,50 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 5000,
                                   best_f + qp.const, hist, noise, restarts)
 
 
-def _solve_blocks(H: np.ndarray, rhs: np.ndarray, n_x: int, n_blocks: int
-                  ) -> np.ndarray:
-    """Solve H x = rhs for a block-tridiagonal H of ``n_blocks`` blocks of
-    ``n_x`` by block elimination along the horizon.
+def _solve_blocks(D, E, rhs: np.ndarray) -> np.ndarray:
+    """Solve H x = rhs for the symmetric block-tridiagonal H with diagonal
+    blocks D and sub-diagonal blocks E by block elimination along the
+    horizon.
 
-    Going down the window, each pivot block D_b is factored once, for its
-    coupling block and the eliminated right-hand side together:
-    [G_{b+1} | y_b] = D_b^-1 [H_{b,b+1} | r_b], after which
-    D_{b+1} = H_{b+1,b+1} - H_{b+1,b} G_{b+1} and
-    r_{b+1} = rhs_{b+1} - H_{b+1,b} y_b.  The back pass
-    x_b = y_b - G_{b+1} x_{b+1} refactors nothing.  With one block this is
-    ``np.linalg.solve(H, rhs)``.  Entries of H outside the band are never
-    read.  Raises ``np.linalg.LinAlgError`` on a singular pivot block.
+    Going down the window, each pivot block P_b (P_0 = D_0) is factored
+    once, for its coupling block and the eliminated right-hand side
+    together: [G_{b+1} | y_b] = P_b^-1 [E_b^T | r_b], after which
+    P_{b+1} = D_{b+1} - E_b G_{b+1} and r_{b+1} = rhs_{b+1} - E_b y_b.  The
+    back pass x_b = y_b - G_{b+1} x_{b+1} refactors nothing.  With one block
+    this is ``np.linalg.solve(D[0], rhs)``.  Raises
+    ``np.linalg.LinAlgError`` on a singular pivot block.
     """
-    sl = lambda b: slice(b * n_x, (b + 1) * n_x)
-    D, r = H[sl(0), sl(0)], rhs[sl(0)]
+    n_b, n_x = D.shape[:2]
+    R = rhs.reshape(n_b, n_x)
+    # The stacked right-hand sides [E_b^T | r_b], r_b filled in on the way.
+    W = np.empty((n_b - 1, n_x, n_x + 1))
+    W[:, :, :n_x] = E.transpose(0, 2, 1)
+    P, r = D[0], R[0]
     passes = []
-    for b in range(n_blocks - 1):
-        X = np.linalg.solve(D, np.column_stack((H[sl(b), sl(b + 1)], r)))
-        LX = H[sl(b + 1), sl(b)] @ X
-        D = H[sl(b + 1), sl(b + 1)] - LX[:, :n_x]
-        r = rhs[sl(b + 1)] - LX[:, n_x]
+    for b in range(n_b - 1):
+        W[b, :, n_x] = r
+        X = np.linalg.solve(P, W[b])
+        LX = E[b] @ X
+        P = D[b + 1] - LX[:, :n_x]
+        r = R[b + 1] - LX[:, n_x]
         passes.append(X)
-    x = np.empty(rhs.shape)
-    x[sl(n_blocks - 1)] = np.linalg.solve(D, r)
-    for b in reversed(range(n_blocks - 1)):
+    x = np.empty((n_b, n_x))
+    x[-1] = np.linalg.solve(P, r)
+    for b in reversed(range(n_b - 1)):
         X = passes[b]
-        x[sl(b)] = X[:, n_x] - X[:, :n_x] @ x[sl(b + 1)]
-    return x
+        x[b] = X[:, n_x] - X[:, :n_x] @ x[b + 1]
+    return x.ravel()
+
+
+def _held_decoupled_band(D, E, held):
+    """The band of H with the rows and columns of the ``held`` coordinates
+    zeroed and their diagonal kept, as copies."""
+    free = ~held.reshape(D.shape[:2])
+    D_h = np.where(free[:, :, None] & free[:, None, :], D, 0.0)
+    i = np.arange(D.shape[1])
+    D_h[:, i, i] = D[:, i, i]
+    E_h = np.where(free[1:, :, None] & free[:-1, None, :], E, 0.0)
+    return D_h, E_h
 
 
 def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
@@ -426,10 +516,10 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
     iterations.  Each iteration holds the epsilon-active bounds whose
     gradient points out of the box on a diagonally scaled step, takes a
     Newton step on the free coordinates, and backtracks (Armijo) along the
-    projection arc.  Every linear system, the start point's and each
-    step's, is solved by block elimination over the ``qp.n_blocks`` blocks
-    of ``qp.n_x`` (``_solve_blocks``), which reads only the block-tridiagonal
-    band of H.  Terminates on the same projected-KKT test as
+    projection arc.  Only the band ``qp.D``, ``qp.E`` of H is read: every
+    linear system, the start point's and each step's, is solved by block
+    elimination (``_solve_blocks``), and every product with H is a block
+    product.  Terminates on the same projected-KKT test as
     ``solve_box_qp``, or, once that fails, when every coordinate's projected
     gradient lies below the gradient's roundoff floor at that coordinate
     (``SolveInfo.kkt_floor``); every iterate lies in the box exactly.  If
@@ -438,22 +528,20 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
     ``np.linalg.LinAlgError`` when a pivot block of the elimination is
     singular, as it is for a singular H.
     """
-    H, q, lo, hi = qp.H, qp.q, qp.z_min, qp.z_max
-    n_x, n_b = qp.n_x, qp.n_blocks
-    z = np.clip(_solve_blocks(H, -0.5 * q, n_x, n_b), lo, hi)
-    h_diag = np.diag(H)
-    Hz = H @ z
+    D, E, q, lo, hi = qp.D, qp.E, qp.q, qp.z_min, qp.z_max
+    z = np.clip(_solve_blocks(D, E, -0.5 * q), lo, hi)
+    Hz = _band_matvec(D, E, z)
     f = float(z @ Hz + q @ z)
     g = 2.0 * Hz + q
     hist = [f + qp.const]
     kkt = _kkt_residual(z, g, lo, hi)
-    converged, it, floor, abs_h = kkt <= tol_kkt, 0, 0.0, None
+    converged, it, floor, abs_band = kkt <= tol_kkt, 0, 0.0, None
     while not converged:
         # Only now that the plain test failed: a gradient below its
         # roundoff floor carries no information about the minimiser.
-        if abs_h is None:
-            abs_h = np.abs(H)
-        converged, floor = _below_roundoff(z, g, qp, abs_h, tol_kkt)
+        if abs_band is None:
+            abs_band = (np.abs(D), np.abs(E))
+        converged, floor = _below_roundoff(z, g, qp, abs_band, tol_kkt)
         if converged or it == NEWTON_MAX_ITER:
             break
         it += 1
@@ -463,11 +551,7 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
         # Decouple the held coordinates: with their rows and columns zeroed
         # and their diagonal kept, one solve gives the Newton step on the
         # free block and the diagonal step on the held one.
-        H_step = H.copy()
-        H_step[held, :] = 0.0
-        H_step[:, held] = 0.0
-        H_step[held, held] = h_diag[held]
-        d = -0.5 * _solve_blocks(H_step, g, n_x, n_b)
+        d = -0.5 * _solve_blocks(*_held_decoupled_band(D, E, held), g)
         # Armijo along the arc P(z + a d): the free block is credited with a
         # times its linear decrease, the held bounds with the decrease of
         # what they actually move (Bertsekas 1982, eq. 32).
@@ -478,14 +562,14 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
             s = z_new - z
             # f(z + s) - f(z) = s'Hs + g's, free of the cancellation between
             # two large objective values.
-            decrease = -float(s @ (H @ s) + g @ s)
+            decrease = -float(s @ _band_matvec(D, E, s) + g @ s)
             if decrease >= NEWTON_ARMIJO * (a * slope - float(g[held] @ s[held])):
                 break
             a *= 0.5
         else:
             break
         z = z_new
-        Hz = H @ z
+        Hz = _band_matvec(D, E, z)
         f = float(z @ Hz + q @ z)
         g = 2.0 * Hz + q
         hist.append(f + qp.const)

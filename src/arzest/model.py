@@ -755,6 +755,14 @@ def _advance(x, u, topo: Topology, params: ModelParams, ds_scale=None,
     """The update of ``step`` for one state or, row by row, a population."""
     x = np.asarray(x, dtype=float)
     f, margin = _net_flux(x, u, topo, params, ds_scale)
+    return _update(x, f, topo, params, margin, diag)
+
+
+def _update(x, f, topo: Topology, params: ModelParams, margin=math.inf,
+            diag: StepDiagnostics | None = None) -> np.ndarray:
+    """The update of ``step`` from the net fluxes ``f`` at ``x``: relaxation
+    plus (T/l) f, clamped to the physical bounds.  ``margin`` is the
+    branch-tie margin of the flux evaluation, recorded in ``diag``."""
     r = params.T / params.l
     x_new = np.empty_like(x)
     x_new[..., 0::2] = x[..., 0::2] + r * f[..., 0::2]

@@ -1,8 +1,9 @@
 """Shared reference implementations for the QP tests.
 
 Everything here is written independently of the library internals so it can
-serve as an oracle: a direct term-by-term evaluation of the windowed
-objective, and a brute-force active-set enumeration for small box QPs.
+serve as an oracle: a dense assembly of the window QP from the raw entry
+fields, a direct term-by-term evaluation of the windowed objective, and a
+brute-force active-set enumeration for small box QPs.
 """
 import itertools
 
@@ -11,21 +12,64 @@ import numpy as np
 from arzest.mhe import HorizonBuffer, HorizonEntry, QPProblem
 
 
-def random_buffer(rng, horizon, n_steps, n_x=6, n_u=3, n_y=4):
-    """A buffer of synthetic affine entries with O(1) coefficients."""
+def random_buffer(rng, horizon, n_steps, n_x=6, n_u=3, n_y=4, blind=()):
+    """A buffer of synthetic affine entries with O(1) coefficients.  The
+    entries at the times in ``blind`` have no measurement (zero rows)."""
     buf = HorizonBuffer(horizon)
     for t in range(1, n_steps + 1):
+        m = 0 if t in blind else n_y
         buf.push(HorizonEntry(
             time=t,
-            y=rng.standard_normal(n_y),
-            C_s=rng.standard_normal((n_y, n_x)),
-            c2=rng.standard_normal(n_y),
+            y=rng.standard_normal(m),
+            C_s=rng.standard_normal((m, n_x)),
+            c2=rng.standard_normal(m),
             A_s=rng.standard_normal((n_x, n_x)) * 0.3,
             B_s=rng.standard_normal((n_x, n_u)),
             c1_s=rng.standard_normal(n_x),
             u=rng.standard_normal(n_u),
         ))
     return buf
+
+
+def dense_assemble_qp(buf, x_bar_s, cfg, lo_s, hi_s):
+    """The window QP's dense (H, q, const), each window term recomputed from
+    the raw entry fields and added in the library's order."""
+    t = buf.latest_time
+    start = buf.window_start()
+    n_x = buf.entries[-1].A_s.shape[0]
+    n_b = t - start + 1
+    n_z = n_b * n_x
+    H = np.zeros((n_z, n_z))
+    q = np.zeros(n_z)
+    const = 0.0
+
+    x_bar_s = np.asarray(x_bar_s, dtype=float)
+    sl = lambda b: slice(b * n_x, (b + 1) * n_x)
+
+    H[sl(0), sl(0)] += cfg.mu * np.eye(n_x)
+    q[sl(0)] += -2.0 * cfg.mu * x_bar_s
+    const += cfg.mu * float(x_bar_s @ x_bar_s)
+
+    for e in buf.entries:
+        b = e.time - start
+        if b < 0:
+            continue
+        if e.C_s.shape[0] > 0 and cfg.w1 > 0:
+            resid = e.y - e.c2
+            H[sl(b), sl(b)] += cfg.w1 * (e.C_s.T @ e.C_s)
+            q[sl(b)] += -2.0 * cfg.w1 * (e.C_s.T @ resid)
+            const += cfg.w1 * float(resid @ resid)
+        if e.time > start and cfg.w2 > 0:
+            r = e.B_s @ e.u + e.c1_s
+            A = e.A_s
+            H[sl(b), sl(b)] += cfg.w2 * np.eye(n_x)
+            H[sl(b - 1), sl(b - 1)] += cfg.w2 * (A.T @ A)
+            H[sl(b), sl(b - 1)] += -cfg.w2 * A
+            H[sl(b - 1), sl(b)] += -cfg.w2 * A.T
+            q[sl(b)] += -2.0 * cfg.w2 * r
+            q[sl(b - 1)] += 2.0 * cfg.w2 * (A.T @ r)
+            const += cfg.w2 * float(r @ r)
+    return H, q, const
 
 
 def direct_objective(buf, x_bar_s, cfg, blocks):

@@ -6,13 +6,14 @@ projected-gradient fallback) against brute-force active-set enumeration on
 small instances.  A session with injected affine hooks must
 recover an affine truth exactly (to solver tolerance).
 """
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from qp_oracles import (
     brute_force_box_qp,
+    dense_assemble_qp,
     direct_objective,
     random_buffer,
     random_small_qp,
@@ -94,6 +95,45 @@ def test_qp_weights_enter_objective():
     assert quad == pytest.approx(direct, rel=1e-8)
 
 
+@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.5, 2.0, 7.0),
+                                     (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
+def test_band_assembly_matches_the_dense_oracle(weights):
+    """The band assembled from the entries' cached terms gives the dense
+    oracle's H, q and const bit for bit: horizons 0-6, growing windows,
+    w1 = 0 or w2 = 0, and steps with no measurement.  The band product
+    agrees with the dense H z to roundoff."""
+    mu, w1, w2 = weights
+    rng = np.random.default_rng(600)
+    n_x = 6
+    for horizon in range(7):
+        cfg = MheConfig(horizon=horizon, mu=mu, w1=w1, w2=w2)
+        for n_steps in range(1, horizon + 3):
+            blind = {t for t in range(1, n_steps + 1) if rng.random() < 0.3}
+            buf = random_buffer(rng, horizon, n_steps, n_x=n_x, blind=blind)
+            x_bar = rng.standard_normal(n_x)
+            lo, hi = np.full(n_x, -10.0), np.full(n_x, 10.0)
+            qp = assemble_qp(buf, x_bar, cfg, lo, hi)
+            H, q, const = dense_assemble_qp(buf, x_bar, cfg, lo, hi)
+            np.testing.assert_array_equal(qp.H, H)
+            np.testing.assert_array_equal(qp.q, q)
+            assert qp.const == const
+            np.testing.assert_array_equal(qp.z_min, np.tile(lo, qp.n_blocks))
+            np.testing.assert_array_equal(qp.z_max, np.tile(hi, qp.n_blocks))
+            z = rng.uniform(-3, 3, H.shape[0])
+            err = np.abs(mhe._band_matvec(qp.D, qp.E, z) - H @ z)
+            assert np.all(err <= 1e-14 * (np.abs(H) @ np.abs(z)))
+
+
+def test_horizon_entry_is_frozen():
+    entry = random_buffer(np.random.default_rng(1), 2, 2).entries[-1]
+    with pytest.raises(FrozenInstanceError):
+        entry.A_s = np.zeros_like(entry.A_s)
+    with pytest.raises(ValueError):
+        entry.A_s[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        entry.CtC[0, 0] = 1.0
+
+
 def _outside_band(n_x, n_blocks):
     """Mask of the entries outside the block-tridiagonal band."""
     b = np.arange(n_x * n_blocks) // n_x
@@ -127,7 +167,8 @@ def test_block_solve_matches_dense_solve(horizon):
     """Block elimination along the window agrees with a dense solve on
     window Hessians, growing windows included, and on copies with held
     coordinates decoupled: random masks, one block fully held, and every
-    coordinate held.  A single block is the dense solve exactly."""
+    coordinate held.  The decoupled band is the band of the decoupled H
+    exactly.  A single block is the dense solve exactly."""
     rng = np.random.default_rng(500 + horizon)
     cfg = MheConfig(horizon=horizon)
     n_x = 6
@@ -142,8 +183,12 @@ def test_block_solve_matches_dense_solve(horizon):
                  np.ones(n_z, bool)]
         for held in masks:
             H = _held_decoupled(qp.H, held)
+            D, E = mhe._held_decoupled_band(qp.D, qp.E, held)
+            np.testing.assert_array_equal(
+                QPProblem(None, qp.q, qp.z_min, qp.z_max, 0.0, qp.n_blocks,
+                          n_x, D, E).H, H)
             rhs = rng.standard_normal(n_z)
-            x = mhe._solve_blocks(H, rhs, n_x, qp.n_blocks)
+            x = mhe._solve_blocks(D, E, rhs)
             x_dense = np.linalg.solve(H, rhs)
             if qp.n_blocks == 1:
                 np.testing.assert_array_equal(x, x_dense)
@@ -164,7 +209,7 @@ def test_block_solve_raises_on_a_singular_pivot():
                      np.full(6, -10.0), np.full(6, 10.0))
     assert qp.n_blocks == 4
     with pytest.raises(np.linalg.LinAlgError):
-        mhe._solve_blocks(qp.H, qp.q, qp.n_x, qp.n_blocks)
+        mhe._solve_blocks(qp.D, qp.E, qp.q)
 
 
 def test_buffer_rejects_time_gap():
