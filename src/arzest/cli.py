@@ -10,19 +10,22 @@ Subcommands:
 * ``gramian``   report the observability check for the configured sensors
 
 Configuration is a JSON document (``--config``); every section is optional
-and falls back to the built-in reference scenario.  Physical quantities in
-the file use seconds and metres (``step_s``, ``cell_m``, ``duration_s``);
+and falls back to ``scenarios.default_scenario`` (500 s, the MHE, seeds 0-4)
+with one exception: without a ``jam`` section there is no slowdown, where
+the reference twin slows cell 7 during steps 100-300.  Physical quantities
+in the file use seconds and metres (``step_s``, ``cell_m``, ``duration_s``);
 internally everything runs in hours and kilometres.  Unknown keys anywhere
-in the document are rejected so typos fail loudly.
+in the document and non-finite numbers are rejected so typos fail loudly.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -90,6 +93,8 @@ def _num(obj, key, where, default=None, minimum=None, strict_min=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number")
     val = float(val)
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}.{key} must be a finite number")
     if minimum is not None:
         if strict_min and not val > minimum:
             raise ConfigError(f"{where}.{key} must be > {minimum}")
@@ -110,6 +115,9 @@ def _num_list(val, where):
             isinstance(v, bool) or not isinstance(v, (int, float))
             for v in val):
         raise ConfigError(f"{where} must be a list of numbers")
+    for i, v in enumerate(val):
+        if not math.isfinite(v):
+            raise ConfigError(f"{where}[{i}] must be a finite number")
     return [float(v) for v in val]
 
 
@@ -124,20 +132,17 @@ def _build_params(doc: dict) -> tuple[ModelParams, float]:
                   strict_min=True)
     cell_m = _num(sec, "cell_m", "params", default=100.0, minimum=0.0,
                   strict_min=True)
-    try:
-        params = ModelParams(
-            v_f=_num(sec, "free_flow_kmh", "params", default=102.0,
-                     minimum=0.0, strict_min=True),
-            rho_m=_num(sec, "max_density_veh_km", "params", default=345.0,
-                       minimum=0.0, strict_min=True),
-            tau=_num(sec, "relax_steps", "params", default=20.0),
-            gamma=_num(sec, "gamma", "params", default=1.75, minimum=0.0,
-                       strict_min=True),
-            T=step_s / 3600.0,
-            l=cell_m / 1000.0,
-        )
-    except (ModelError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    params = ModelParams(
+        v_f=_num(sec, "free_flow_kmh", "params", default=102.0,
+                 minimum=0.0, strict_min=True),
+        rho_m=_num(sec, "max_density_veh_km", "params", default=345.0,
+                   minimum=0.0, strict_min=True),
+        tau=_num(sec, "relax_steps", "params", default=20.0),
+        gamma=_num(sec, "gamma", "params", default=1.75, minimum=0.0,
+                   strict_min=True),
+        T=step_s / 3600.0,
+        l=cell_m / 1000.0,
+    )
     return params, step_s
 
 
@@ -166,12 +171,9 @@ def _build_topology(doc: dict) -> Topology:
             raise ConfigError("topology.off_ramps[].from must be an integer")
         split = _num(o, "split", f"topology.off_ramps[{i}]", default=0.2)
         offs.append(OffRamp(diverge_from=seg, alpha=split))
-    try:
-        return Topology(n_mainline=n_main,
-                        on_ramps=tuple(OnRamp(merge_into=m) for m in on),
-                        off_ramps=tuple(offs))
-    except (ModelError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return Topology(n_mainline=n_main,
+                    on_ramps=tuple(OnRamp(merge_into=m) for m in on),
+                    off_ramps=tuple(offs))
 
 
 def _build_inputs(doc: dict, topo: Topology, params: ModelParams,
@@ -194,19 +196,16 @@ def _build_inputs(doc: dict, topo: Topology, params: ModelParams,
     if len(off_rho) != n_off:
         raise ConfigError(
             "offramp_rho_out_veh_km must match the off-ramp count")
-    try:
-        return constant_inputs(
-            topo, t_f,
-            d_in=_num(sec, "demand_veh_h", "inputs", default=8800.0,
-                      minimum=0.0),
-            w_in=_num(sec, "w_in_kmh", "inputs", default=params.v_f,
-                      minimum=0.0),
-            rho_out=_num(sec, "rho_out_veh_km", "inputs", default=30.0,
-                         minimum=0.0),
-            ramp_demand=ramp_d, ramp_w=ramp_w, offramp_rho_out=off_rho,
-        )
-    except (ModelError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return constant_inputs(
+        topo, t_f,
+        d_in=_num(sec, "demand_veh_h", "inputs", default=8800.0,
+                  minimum=0.0),
+        w_in=_num(sec, "w_in_kmh", "inputs", default=params.v_f,
+                  minimum=0.0),
+        rho_out=_num(sec, "rho_out_veh_km", "inputs", default=30.0,
+                     minimum=0.0),
+        ramp_demand=ramp_d, ramp_w=ramp_w, offramp_rho_out=off_rho,
+    )
 
 
 def _build_jam(doc: dict) -> JamSpec | None:
@@ -224,11 +223,8 @@ def _build_jam(doc: dict) -> JamSpec | None:
     if (isinstance(start, bool) or not isinstance(start, int)
             or isinstance(end, bool) or not isinstance(end, int)):
         raise ConfigError("jam.start and jam.end must be integers")
-    try:
-        return JamSpec(segment=seg, start=start, end=end,
-                       scale=_num(sec, "scale", "jam", default=0.3))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return JamSpec(segment=seg, start=start, end=end,
+                   scale=_num(sec, "scale", "jam", default=0.3))
 
 
 def _build_schedule(doc: dict, topo: Topology) -> SensorSchedule:
@@ -246,71 +242,69 @@ def _build_schedule(doc: dict, topo: Topology) -> SensorSchedule:
     elif isinstance(period, bool) or not isinstance(period, int):
         raise ConfigError(
             "sensors.rotation_period must be an integer, null or \"inf\"")
-    try:
-        return SensorSchedule(fixed_segments=tuple(fixed),
-                              mobile_count=len(mobile),
-                              rotation_period=period,
-                              initial_positions=tuple(mobile))
-    except (ModelError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return SensorSchedule(fixed_segments=tuple(fixed),
+                          mobile_count=len(mobile),
+                          rotation_period=period,
+                          initial_positions=tuple(mobile))
 
 
 def build_scenario(doc: dict) -> tuple[Scenario, float]:
     """Turn a validated JSON document into a scenario.
 
     Returns the scenario and the step length in seconds (for CSV time
-    columns).
+    columns).  A ``ModelError`` or ``ValueError`` of the build becomes a
+    ``ConfigError`` with its message.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    _reject_unknown(doc, {"scenario_id", "params", "topology", "inputs",
-                          "jam", "sensors", "noise", "estimators",
-                          "duration_s", "seeds"}, "configuration")
-    params, step_s = _build_params(doc)
-    topo = _build_topology(doc)
-    duration_s = _num(doc, "duration_s", "configuration", default=500.0,
-                      minimum=0.0, strict_min=True)
-    t_f = int(round(duration_s / step_s))
-    if t_f < 1:
-        raise ConfigError("duration_s must cover at least one step")
-    inputs = _build_inputs(doc, topo, params, t_f)
-    jam = _build_jam(doc)
-
-    noise_sec = doc.get("noise", {})
-    if not isinstance(noise_sec, dict):
-        raise ConfigError("noise must be an object")
-    _reject_unknown(noise_sec, {"std"}, "noise")
-    noise_std = _num(noise_sec, "std", "noise", default=1.0, minimum=0.0)
-
-    est_names = doc.get("estimators", ["mhe"])
-    if not isinstance(est_names, list) or not est_names:
-        raise ConfigError("estimators must be a non-empty list")
-    specs = []
-    for name in est_names:
-        if name not in ESTIMATOR_KINDS:
-            raise ConfigError(f"unknown estimator {name!r}; choose from "
-                              f"{', '.join(ESTIMATOR_KINDS)}")
-        specs.append(EstimatorSpec(name))
-
-    seeds = doc.get("seeds", [0, 1, 2, 3, 4])
-    seeds = tuple(_int_list(seeds, "seeds"))
-    if not seeds:
-        raise ConfigError("seeds must be non-empty")
-
-    sid = doc.get("scenario_id", "config")
-    if not isinstance(sid, str):
-        raise ConfigError("scenario_id must be a string")
-
     try:
+        if not isinstance(doc, dict):
+            raise ConfigError("configuration root must be a JSON object")
+        _reject_unknown(doc, {"scenario_id", "params", "topology", "inputs",
+                              "jam", "sensors", "noise", "estimators",
+                              "duration_s", "seeds"}, "configuration")
+        params, step_s = _build_params(doc)
+        topo = _build_topology(doc)
+        duration_s = _num(doc, "duration_s", "configuration", default=500.0,
+                          minimum=0.0, strict_min=True)
+        t_f = int(round(duration_s / step_s))
+        if t_f < 1:
+            raise ConfigError("duration_s must cover at least one step")
+        inputs = _build_inputs(doc, topo, params, t_f)
+        jam = _build_jam(doc)
+
+        noise_sec = doc.get("noise", {})
+        if not isinstance(noise_sec, dict):
+            raise ConfigError("noise must be an object")
+        _reject_unknown(noise_sec, {"std"}, "noise")
+        noise_std = _num(noise_sec, "std", "noise", default=1.0, minimum=0.0)
+
+        est_names = doc.get("estimators", ["mhe"])
+        if not isinstance(est_names, list) or not est_names:
+            raise ConfigError("estimators must be a non-empty list")
+        specs = []
+        for name in est_names:
+            if name not in ESTIMATOR_KINDS:
+                raise ConfigError(f"unknown estimator {name!r}; choose from "
+                                  f"{', '.join(ESTIMATOR_KINDS)}")
+            specs.append(EstimatorSpec(name))
+
+        seeds = doc.get("seeds", [0, 1, 2, 3, 4])
+        seeds = tuple(_int_list(seeds, "seeds"))
+        if not seeds:
+            raise ConfigError("seeds must be non-empty")
+
+        sid = doc.get("scenario_id", "config")
+        if not isinstance(sid, str):
+            raise ConfigError("scenario_id must be a string")
+
         sc = Scenario(
             scenario_id=sid, params=params, topo=topo, t_f=t_f,
             inputs=inputs, schedule=_build_schedule(doc, topo),
             noise_std=noise_std, seeds=seeds, estimators=tuple(specs),
             jam=jam,
         )
+        return sc, step_s
     except (ModelError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return sc, step_s
 
 
 def _load_config(path: str | None) -> dict:
@@ -349,19 +343,15 @@ def _write_trajectory(out, values: np.ndarray, step_s: float,
 
 def _open_out(path: str | None):
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="", encoding="utf-8")
 
 
 def cmd_simulate(args) -> int:
     sc, step_s = build_scenario(_load_config(args.config))
     truth = generate_truth(sc)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         _write_trajectory(out, truth.obs, step_s, args.smooth)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -370,11 +360,11 @@ def cmd_estimate(args) -> int:
     if args.estimator is not None:
         spec = EstimatorSpec(args.estimator)
     else:
-        spec = sc.estimators[0] if sc.estimators else EstimatorSpec("mhe")
+        spec = sc.estimators[0]
     truth = generate_truth(sc)
     res = run_estimation(sc, truth, spec, args.seed)
     if args.out is not None:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        with _open_out(args.out) as fh:
             _write_trajectory(fh, measure_h_batch(res.est, sc.params),
                               step_s, args.smooth)
     summary = {
@@ -394,8 +384,6 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     sc, _ = build_scenario(_load_config(args.config))
-    if not sc.estimators:
-        sc = dataclasses.replace(sc, estimators=(EstimatorSpec("mhe"),))
     runner = {
         "sensors": sweep_sensor_count,
         "rotation": sweep_rotation,

@@ -38,9 +38,9 @@ from .model import (
 )
 from .sensing import (
     SensorSchedule,
-    _noise_draw,
     build_observation,
     positions_at,
+    synthesize_measurements,
 )
 
 __all__ = [
@@ -135,6 +135,16 @@ class Scenario:
                 raise ValueError("jam segment out of range")
             if self.jam.end > self.t_f:
                 raise ValueError("jam window exceeds scenario duration")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError("noise_std must be a finite number >= 0, "
+                             f"got {self.noise_std}")
+        # Every later step's layout comes from the same free slots, so the
+        # first one checks the schedule against the topology.
+        try:
+            build_observation(positions_at(self.schedule, self.topo, 0),
+                              self.topo)
+        except ValueError as exc:
+            raise ValueError(f"sensor schedule: {exc}") from exc
 
 
 def paper_params() -> ModelParams:
@@ -153,20 +163,26 @@ def paper_topology() -> Topology:
     )
 
 
-def _min_fixed(topo: Topology) -> list[int]:
+def _min_fixed(topo: Topology) -> tuple[int, ...]:
     """Minimum fixed sensor set: the last mainline cell and every ramp."""
     fixed = [topo.n_mainline]
     fixed += [topo.onramp_segment(j + 1) for j in range(topo.n_onramps)]
     fixed += [topo.offramp_segment(l + 1) for l in range(topo.n_offramps)]
-    return fixed
+    return tuple(fixed)
+
+
+def _mobile_schedule(topo: Topology, starts, period) -> SensorSchedule:
+    """Minimum fixed set plus connected vehicles starting on ``starts`` and
+    hopping every ``period`` steps (None or inf parks them)."""
+    return SensorSchedule(fixed_segments=_min_fixed(topo),
+                          mobile_count=len(starts), rotation_period=period,
+                          initial_positions=tuple(starts))
 
 
 def default_schedule(topo: Topology) -> SensorSchedule:
     """Minimum fixed set (last mainline cell + all ramps) plus three
     connected vehicles starting at 1, 3, 7 and hopping every 15 steps."""
-    return SensorSchedule(fixed_segments=tuple(_min_fixed(topo)),
-                          mobile_count=3, rotation_period=15,
-                          initial_positions=(1, 3, 7))
+    return _mobile_schedule(topo, (1, 3, 7), 15)
 
 
 def constant_inputs(topo: Topology, t_f: int, d_in: float, w_in: float,
@@ -312,17 +328,10 @@ def moving_average(series, window: int) -> np.ndarray:
     if window < 1:
         raise ValueError("window must be at least 1")
     arr = np.asarray(series, dtype=float)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[:, None]
-    out = np.empty_like(arr)
     csum = np.cumsum(arr, axis=0)
-    for k in range(arr.shape[0]):
-        if k < window:
-            out[k] = csum[k] / (k + 1)
-        else:
-            out[k] = (csum[k] - csum[k - window]) / window
-    return out[:, 0] if squeeze else out
+    w = min(window, arr.shape[0])
+    ramp = np.arange(1, w + 1).reshape((w,) + (1,) * (arr.ndim - 1))
+    return np.concatenate([csum[:w] / ramp, (csum[w:] - csum[:-w]) / w])
 
 
 def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
@@ -344,8 +353,7 @@ def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
     for k in range(1, sc.t_f + 1):
         measured = positions_at(sc.schedule, topo, k - 1)
         C = build_observation(measured, topo)
-        y = C @ truth.obs[k]
-        y = y + _noise_draw(rng_noise, sc.noise_std, C.shape[0])
+        y = synthesize_measurements(truth.obs[k], C, sc.noise_std, rng_noise)
         t0 = _time.perf_counter()
         x_hat = estimator.step(sc.inputs[k - 1], y, C)
         times.append(_time.perf_counter() - t0)
@@ -441,8 +449,11 @@ def _set_blas_threads(counts: int | list[int]) -> list[int]:
     return before
 
 
-def _run_cells(sc, sweep, cells, truth, jobs: int) -> list[dict]:
-    """Run sweep cells, optionally across ``jobs`` processes.
+def _sweep(sc: Scenario, name: str, cells, truth: TruthResult | None,
+           jobs: int, specs=None) -> list[dict]:
+    """Run each (knob, cell scenario) pair of a sweep with every estimator
+    spec (``sc.estimators`` unless given), optionally across ``jobs``
+    processes; the truth is generated from ``sc`` when not given.
 
     With ``jobs`` > 1 this process is one of them: it forks ``jobs - 1``
     workers, which take cells from the front of the list, and runs cells
@@ -454,8 +465,10 @@ def _run_cells(sc, sweep, cells, truth, jobs: int) -> list[dict]:
     how they overlap.  Rows come back in cell order either way, so the
     output is deterministic regardless of worker scheduling.
     """
-    tasks = [(sc, sweep, knob, spec, truth, cell)
-             for (knob, spec, cell) in cells]
+    truth = truth if truth is not None else generate_truth(sc)
+    specs = sc.estimators if specs is None else specs
+    tasks = [(sc, name, knob, spec, truth, cell)
+             for knob, cell in cells for spec in specs]
     if jobs <= 1 or len(tasks) <= 1:
         return [_cell_job(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -478,39 +491,32 @@ def _run_cells(sc, sweep, cells, truth, jobs: int) -> list[dict]:
         _set_blas_threads(before)
 
 
+def _period_knob(period):
+    return "inf" if period in (None, math.inf) else period
+
+
 def sweep_sensor_count(sc: Scenario, counts=(0, 1, 2, 3, 4, 5, 6, 7, 8),
                        truth: TruthResult | None = None,
                        jobs: int = 1) -> list[dict]:
     """Add fixed mainline sensors one at a time in the canonical order."""
-    truth = truth if truth is not None else generate_truth(sc)
     cells = []
     for c in counts:
         if c > len(FILL_ORDER):
             raise ValueError(f"at most {len(FILL_ORDER)} extra sensors")
-        fixed = _min_fixed(sc.topo) + list(FILL_ORDER[:c])
-        sched = SensorSchedule(fixed_segments=tuple(fixed))
-        cell = replace(sc, schedule=sched)
-        for spec in sc.estimators:
-            cells.append((c, spec, cell))
-    return _run_cells(sc, "sensors", cells, truth, jobs)
+        sched = SensorSchedule(fixed_segments=_min_fixed(sc.topo)
+                               + FILL_ORDER[:c])
+        cells.append((c, replace(sc, schedule=sched)))
+    return _sweep(sc, "sensors", cells, truth, jobs)
 
 
 def sweep_rotation(sc: Scenario, periods=(1, 5, 15, 60, None),
                    truth: TruthResult | None = None,
                    jobs: int = 1) -> list[dict]:
     """Vary how often the mobile sensors hop (None parks them)."""
-    truth = truth if truth is not None else generate_truth(sc)
-    cells = []
-    for p in periods:
-        sched = SensorSchedule(
-            fixed_segments=tuple(_min_fixed(sc.topo)), mobile_count=3,
-            rotation_period=None if p in (None, math.inf) else p,
-            initial_positions=(1, 3, 7))
-        cell = replace(sc, schedule=sched)
-        knob = "inf" if p in (None, math.inf) else p
-        for spec in sc.estimators:
-            cells.append((knob, spec, cell))
-    return _run_cells(sc, "rotation", cells, truth, jobs)
+    cells = [(_period_knob(p),
+              replace(sc, schedule=_mobile_schedule(sc.topo, (1, 3, 7), p)))
+             for p in periods]
+    return _sweep(sc, "rotation", cells, truth, jobs)
 
 
 def sweep_spacing(sc: Scenario, configs=((1, 2, 3), (1, 3, 5), (1, 4, 7)),
@@ -518,37 +524,21 @@ def sweep_spacing(sc: Scenario, configs=((1, 2, 3), (1, 3, 5), (1, 4, 7)),
                   truth: TruthResult | None = None,
                   jobs: int = 1) -> list[dict]:
     """Mobile-sensor spacing sweep (moving-horizon estimator only)."""
-    truth = truth if truth is not None else generate_truth(sc)
     specs = [s for s in sc.estimators if s.kind == "mhe"]
     if not specs:
         specs = [EstimatorSpec("mhe")]
-    cells = []
-    for cfgp in configs:
-        for p in periods:
-            sched = SensorSchedule(
-                fixed_segments=tuple(_min_fixed(sc.topo)),
-                mobile_count=len(cfgp),
-                rotation_period=None if p in (None, math.inf) else p,
-                initial_positions=tuple(cfgp))
-            cell = replace(sc, schedule=sched)
-            pk = "inf" if p in (None, math.inf) else p
-            knob = "-".join(str(s) for s in cfgp) + f"@{pk}"
-            for spec in specs:
-                cells.append((knob, spec, cell))
-    return _run_cells(sc, "spacing", cells, truth, jobs)
+    cells = [("-".join(str(s) for s in starts) + f"@{_period_knob(p)}",
+              replace(sc, schedule=_mobile_schedule(sc.topo, starts, p)))
+             for starts in configs for p in periods]
+    return _sweep(sc, "spacing", cells, truth, jobs, specs)
 
 
 def sweep_noise(sc: Scenario, stds=(0.0, 1.0, 5.0, 10.0, 20.0, 40.0),
                 truth: TruthResult | None = None,
                 jobs: int = 1) -> list[dict]:
     """Vary the measurement noise level, averaging over the seed list."""
-    truth = truth if truth is not None else generate_truth(sc)
-    cells = []
-    for s in stds:
-        cell = replace(sc, noise_std=float(s))
-        for spec in sc.estimators:
-            cells.append((s, spec, cell))
-    return _run_cells(sc, "noise", cells, truth, jobs)
+    cells = [(s, replace(sc, noise_std=float(s))) for s in stds]
+    return _sweep(sc, "noise", cells, truth, jobs)
 
 
 def write_sweep_csv(rows: list[dict], path: str) -> None:

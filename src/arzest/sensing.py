@@ -3,7 +3,9 @@
 Fixed sensors sit on a constant set of segments; mobile sensors hop to the
 next non-instrumented mainline segment every ``rotation_period`` steps,
 wrapping around and skipping fixed positions.  Each measured segment
-contributes a (density, speed) row pair to the observation selector.
+contributes a (density, speed) row pair to the observation selector, and
+``synthesize_measurements``, the one place a measurement is formed, adds
+noise from the caller's generator to the rows it selects.
 """
 from __future__ import annotations
 
@@ -13,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Topology, measure_h
+from .model import Topology
 
 __all__ = [
     "SensorSchedule",
     "mobile_positions_at",
     "positions_at",
     "build_observation",
-    "NoiseModel",
     "synthesize_measurements",
     "GramianResult",
     "observability_gramian",
@@ -114,44 +115,26 @@ def build_observation(measured, topo: Topology) -> np.ndarray:
     return C
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Zero-mean i.i.d. uniform measurement noise of standard deviation std.
+def synthesize_measurements(obs, C, std: float,
+                            rng: np.random.Generator) -> np.ndarray:
+    """Noisy measurement ``C obs + nu`` of what the sensors read.
 
-    Samples are drawn from ``[-std*sqrt(3), std*sqrt(3)]`` so the variance
-    equals ``std**2``; density and speed rows share the same std.
+    ``obs`` holds the (density, speed) pair of every segment: a truth's
+    observed row (``TruthResult.obs[k]``) or ``measure_h`` of a state.
+    ``nu`` is zero-mean i.i.d. uniform noise on
+    ``[-std*sqrt(3), std*sqrt(3)]``, so its variance equals ``std**2``;
+    density and speed rows share the same std.  It is drawn from ``rng``,
+    so one generator passed at every step gives one continuous noise
+    stream.  A std of 0 draws nothing.
     """
-
-    std: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("noise std must be nonnegative")
-
-    def stream(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-
-def _noise_draw(rng: np.random.Generator, std: float, size: int) -> np.ndarray:
-    if std == 0.0:
-        return np.zeros(size)
-    half = std * math.sqrt(3.0)
-    return rng.uniform(-half, half, size)
-
-
-def synthesize_measurements(x_true, C, noise: NoiseModel, params: ModelParams,
-                            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Noisy observation ``C h(x) + nu`` of a true state.
-
-    Passing a persistent generator gives one continuous noise stream across
-    steps; otherwise a fresh stream is seeded from the noise model.
-    """
+    if not (math.isfinite(std) and std >= 0):
+        raise ValueError(f"noise std must be a finite number >= 0, got {std}")
     C = np.asarray(C, dtype=float)
-    if rng is None:
-        rng = noise.stream()
-    y = C @ measure_h(x_true, params)
-    return y + _noise_draw(rng, noise.std, C.shape[0])
+    y = C @ obs
+    if std == 0.0:
+        return y
+    half = std * math.sqrt(3.0)
+    return y + rng.uniform(-half, half, C.shape[0])
 
 
 @dataclass

@@ -200,6 +200,36 @@ def test_cfl_violation_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"duration_s": float("inf")}, "configuration.duration_s"),
+    ({"noise": {"std": float("inf")}}, "noise.std"),
+    ({"noise": {"std": float("nan")}}, "noise.std"),
+    ({"inputs": {"ramp_demand_veh_h": [float("inf")]}},
+     "inputs.ramp_demand_veh_h[0]"),
+])
+def test_non_finite_numbers_rejected(tmp_path, capsys, doc, field):
+    # json writes and reads these as the non-standard Infinity and NaN.
+    cfg = _write_config(tmp_path, doc)
+    for cmd in ("simulate", "estimate"):
+        assert cli.main([cmd, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be a finite number" in err
+
+
+@pytest.mark.parametrize("sensors, cause", [
+    ({"fixed": [99]}, "segment id 99 out of range"),
+    ({"fixed": [1], "mobile": [12]}, "mobile start 12"),
+])
+def test_sensor_layout_checked_against_topology(tmp_path, capsys, sensors,
+                                                cause):
+    cfg = _write_config(tmp_path, {"sensors": sensors})
+    for cmd in ("simulate", "estimate"):
+        assert cli.main([cmd, "--config", cfg,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "sensor schedule" in err and cause in err
+
+
 def test_runtime_blowup_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "generate_truth",

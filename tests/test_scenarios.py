@@ -1,5 +1,6 @@
 """Twin-experiment machinery: truth generation, scoring, estimation runs
 and the four sweep drivers."""
+import math
 import os
 import time
 from dataclasses import replace
@@ -34,7 +35,12 @@ from arzest.scenarios import (
     sweep_spacing,
     write_sweep_csv,
 )
-from arzest.sensing import SensorSchedule
+from arzest.sensing import (
+    SensorSchedule,
+    build_observation,
+    positions_at,
+    synthesize_measurements,
+)
 
 
 def _small(t_f=30, noise_std=1.0, estimators=(EstimatorSpec("ekf"),),
@@ -83,6 +89,29 @@ def test_scenario_validation():
         JamSpec(segment=7, start=5, end=2)
     with pytest.raises(ValueError):
         EstimatorSpec("pf")
+    for std in (-5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise_std"):
+            Scenario(**{**sc.__dict__, "noise_std": std})
+    with pytest.raises(ValueError, match="noise_std"):
+        default_scenario(20, -5.0)
+    # Layouts that only the topology can refuse: a segment past the last
+    # one, and a mobile start on a ramp.
+    for sched in (SensorSchedule(fixed_segments=(99,)),
+                  SensorSchedule(fixed_segments=(1,), mobile_count=1,
+                                 initial_positions=(12,))):
+        with pytest.raises(ValueError, match="sensor schedule"):
+            Scenario(**{**sc.__dict__, "schedule": sched})
+
+
+def test_sweep_noise_refuses_bad_std_before_any_cell(monkeypatch):
+    ran = []
+    monkeypatch.setattr(scenarios, "generate_truth",
+                        lambda sc: ran.append("truth"))
+    monkeypatch.setattr(scenarios, "_averaged_row",
+                        lambda *args: ran.append("cell"))
+    with pytest.raises(ValueError, match="noise_std"):
+        sweep_noise(_small(t_f=5), stds=(1.0, -1.0), jobs=2)
+    assert ran == []
 
 
 def _jam_case(noise_std=0.0):
@@ -141,6 +170,25 @@ def test_sensor_on_jam_segment_reads_slowed_speed(monkeypatch):
         others = np.arange(C.shape[0]) != row
         np.testing.assert_array_equal(y[others], (C @ h)[others])
     assert slowed == sc.jam.end - sc.jam.start
+
+
+def test_run_estimation_measures_through_one_path(monkeypatch):
+    """Every step's measurement is ``synthesize_measurements`` of the
+    truth's observed row, drawn in turn from the run's noise stream, over
+    a window with jam steps."""
+    sc = _jam_case(noise_std=5.0)
+    truth = generate_truth(sc)
+    seen = _record_measurements(monkeypatch)
+    seed = 3
+    run_estimation(sc, truth, sc.estimators[0], seed)
+    assert len(seen) == sc.t_f
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    for k, (y, C) in enumerate(seen, start=1):
+        np.testing.assert_array_equal(
+            C, build_observation(positions_at(sc.schedule, sc.topo, k - 1),
+                                 sc.topo))
+        want = synthesize_measurements(truth.obs[k], C, sc.noise_std, rng)
+        assert y.tobytes() == want.tobytes()
 
 
 def test_truth_trajectory_ignores_what_sensors_read():
@@ -233,6 +281,24 @@ def test_moving_average_oracle():
         moving_average([1.0], 0)
 
 
+def test_moving_average_matches_row_loop():
+    """Bit-identical to the trailing mean computed row by row."""
+    rng = np.random.default_rng(0)
+    for shape in ((501, 24), (7,), (3, 5)):
+        arr = rng.uniform(-100.0, 400.0, shape)
+        csum = np.cumsum(arr, axis=0)
+        for window in (1, 2, 5, 600):
+            want = np.empty_like(arr)
+            for k in range(arr.shape[0]):
+                if k < window:
+                    want[k] = csum[k] / (k + 1)
+                else:
+                    want[k] = (csum[k] - csum[k - window]) / window
+            got = moving_average(arr, window)
+            assert got.shape == arr.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_run_estimation_deterministic_per_seed():
     sc = _small(t_f=25)
     truth = generate_truth(sc)
@@ -270,9 +336,11 @@ def test_sweep_sensor_count_rows():
 
 def test_sweep_rotation_rows():
     sc = _small(t_f=20)
-    rows = sweep_rotation(sc, periods=(1, None))
-    assert [r["knob"] for r in rows] == [1, "inf"]
+    rows = sweep_rotation(sc, periods=(1, None, math.inf))
+    assert [r["knob"] for r in rows] == [1, "inf", "inf"]
     assert all(r["sweep"] == "rotation" for r in rows)
+    assert rows[2] == {**rows[1],
+                       "mean_step_time_s": rows[2]["mean_step_time_s"]}
 
 
 def test_sweep_spacing_rows_default_to_mhe():

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from arzest.model import equilibrium_state
+from arzest.model import equilibrium_state, measure_h
 from arzest.sensing import (
     GramianResult,
-    NoiseModel,
     SensorSchedule,
     build_observation,
     mobile_positions_at,
@@ -106,21 +105,25 @@ def test_build_observation_range_check(topo):
         build_observation([13], topo)
 
 
-def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(std=-1.0)
+def test_noise_model_validation(topo, params):
+    """A negative or non-finite std is refused before anything is drawn."""
+    obs = measure_h(equilibrium_state(topo, params, 40.0), params)
+    C = build_observation([1, 5], topo)
+    for std in (-1.0, math.inf, math.nan):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="noise std"):
+            synthesize_measurements(obs, C, std, rng)
+        assert rng.uniform() == np.random.default_rng(0).uniform()
 
 
 def test_noise_statistics(topo, params):
     """Residual spread matches the requested std; support is std*sqrt(3)."""
-    x = equilibrium_state(topo, params, 40.0)
+    obs = measure_h(equilibrium_state(topo, params, 40.0), params)
     C = build_observation(list(range(1, 13)), topo)
-    from arzest.model import measure_h
-    clean = C @ measure_h(x, params)
-    noise = NoiseModel(std=2.5, seed=12)
-    rng = noise.stream()
+    clean = C @ obs
+    rng = np.random.default_rng(12)
     res = np.concatenate([
-        synthesize_measurements(x, C, noise, params, rng) - clean
+        synthesize_measurements(obs, C, 2.5, rng) - clean
         for _ in range(4000)
     ])
     assert abs(res.std() - 2.5) / 2.5 < 0.01
@@ -129,26 +132,26 @@ def test_noise_statistics(topo, params):
 
 
 def test_zero_noise_is_exact(topo, params):
-    x = equilibrium_state(topo, params, 40.0)
+    """Std 0 gives the selected rows exactly and leaves the stream alone."""
+    obs = measure_h(equilibrium_state(topo, params, 40.0), params)
     C = build_observation([1, 5], topo)
-    from arzest.model import measure_h
-    y = synthesize_measurements(x, C, NoiseModel(std=0.0), params)
-    np.testing.assert_array_equal(y, C @ measure_h(x, params))
+    rng = np.random.default_rng(7)
+    y = synthesize_measurements(obs, C, 0.0, rng)
+    np.testing.assert_array_equal(y, C @ obs)
+    assert rng.uniform() == np.random.default_rng(7).uniform()
 
 
 def test_noise_stream_continuity(topo, params):
-    """A persistent generator advances across calls; none restarts the seed."""
-    x = equilibrium_state(topo, params, 40.0)
+    """A persistent generator advances across calls: equal generators give
+    equal draws, and the next call on one of them gives new ones."""
+    obs = measure_h(equilibrium_state(topo, params, 40.0), params)
     C = build_observation([1, 5], topo)
-    noise = NoiseModel(std=3.0, seed=5)
-    a = synthesize_measurements(x, C, noise, params)
-    b = synthesize_measurements(x, C, noise, params)
+    rng = np.random.default_rng(5)
+    a = synthesize_measurements(obs, C, 3.0, rng)
+    b = synthesize_measurements(obs, C, 3.0, np.random.default_rng(5))
     np.testing.assert_array_equal(a, b)
-    rng = noise.stream()
-    c = synthesize_measurements(x, C, noise, params, rng)
-    d = synthesize_measurements(x, C, noise, params, rng)
-    np.testing.assert_array_equal(c, a)
-    assert not np.array_equal(d, c)
+    c = synthesize_measurements(obs, C, 3.0, rng)
+    assert not np.array_equal(c, a)
 
 
 def test_gramian_diagonal_oracle():
