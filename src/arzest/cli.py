@@ -84,6 +84,16 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
             f"unknown key(s) in {where}: {', '.join(sorted(extra))}")
 
 
+def _finite(val) -> float | None:
+    """A JSON number as a float, or None when it is not finite: infinite,
+    NaN, or an integer too large for a float."""
+    try:
+        val = float(val)
+    except OverflowError:
+        return None
+    return val if math.isfinite(val) else None
+
+
 def _num(obj, key, where, default=None, minimum=None, strict_min=False):
     if key not in obj:
         if default is None:
@@ -92,8 +102,8 @@ def _num(obj, key, where, default=None, minimum=None, strict_min=False):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number")
-    val = float(val)
-    if not math.isfinite(val):
+    val = _finite(val)
+    if val is None:
         raise ConfigError(f"{where}.{key} must be a finite number")
     if minimum is not None:
         if strict_min and not val > minimum:
@@ -115,10 +125,11 @@ def _num_list(val, where):
             isinstance(v, bool) or not isinstance(v, (int, float))
             for v in val):
         raise ConfigError(f"{where} must be a list of numbers")
-    for i, v in enumerate(val):
-        if not math.isfinite(v):
+    out = [_finite(v) for v in val]
+    for i, v in enumerate(out):
+        if v is None:
             raise ConfigError(f"{where}[{i}] must be a finite number")
-    return [float(v) for v in val]
+    return out
 
 
 def _build_params(doc: dict) -> tuple[ModelParams, float]:
@@ -477,12 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "smooth", None) is not None and args.smooth < 1:
-        print("error: --smooth must be a positive integer", file=sys.stderr)
-        return EXIT_CONFIG
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be a positive integer", file=sys.stderr)
-        return EXIT_CONFIG
+    for name, least, kind in (("smooth", 1, "a positive"),
+                              ("jobs", 1, "a positive"),
+                              ("seed", 0, "a non-negative"),
+                              ("terms", 1, "a positive")):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            print(f"error: --{name} must be {kind} integer", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -23,13 +23,12 @@ started from the unconstrained minimiser, so a window whose bounds are all
 inactive costs one direct solve.  Newton reads only the band: every linear
 system, the start point's included, is solved by block elimination along
 the window, one LU per block instead of one on the whole window, and its
-matrix-vector products are block products.  Accelerated projected gradient
-descent remains as the fallback, for a Hessian that cannot be factored and
-for a Newton run that does not converge within its budget.
+matrix-vector products are block products.  A session needs positive
+arrival and model-residual weights: then every pivot block of the
+elimination is positive definite, whatever the sensor layout.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -51,7 +50,6 @@ __all__ = [
     "QPProblem",
     "SolveInfo",
     "solve_box_qp",
-    "solve_box_qp_newton",
     "operating_point",
     "predict_arrival",
     "assemble_qp",
@@ -59,12 +57,11 @@ __all__ = [
 ]
 
 
-# Projected Newton (Bertsekas 1982): iterations before the projected-gradient
-# fallback takes over; the width of the band next to a bound in which a
-# coordinate whose gradient points out of the box is held on the diagonal
-# step; the Armijo sufficient-decrease constant; and the step halvings after
-# which a line search gives up (2**-50 of a step is below an iterate's ulp).
-NEWTON_MAX_ITER = 50
+# Projected Newton (Bertsekas 1982): the width of the band next to a bound in
+# which a coordinate whose gradient points out of the box is held on the
+# diagonal step; the Armijo sufficient-decrease constant; and the step
+# halvings after which a line search gives up (2**-50 of a step is below an
+# iterate's ulp).
 NEWTON_EPS = 1e-3
 NEWTON_ARMIJO = 1e-4
 NEWTON_MAX_HALVINGS = 50
@@ -73,13 +70,12 @@ NEWTON_MAX_HALVINGS = 50
 @dataclass(frozen=True)
 class MheConfig:
     """Horizon length and objective weights (mu: arrival, w1: measurement,
-    w2: model residual), plus solver termination settings.
+    w2: model residual), plus the termination settings of ``solve_box_qp``.
 
-    ``tol_kkt`` is the projected-KKT tolerance of both QP solvers; projected
-    Newton also counts a coordinate as converged below the roundoff floor
-    of its gradient.
-    ``max_iter`` caps the projected-gradient fallback only; the budget of
-    the projected Newton solver is the module constant ``NEWTON_MAX_ITER``.
+    ``tol_kkt`` is the projected-KKT tolerance; a coordinate also counts as
+    converged below the roundoff floor of its gradient.  ``max_iter`` is
+    the budget of projected Newton iterations.  ``MheSession`` needs ``mu``
+    and ``w2`` positive; ``assemble_qp`` also takes either at zero.
     """
 
     horizon: int = 4
@@ -87,7 +83,7 @@ class MheConfig:
     w1: float = 1.0
     w2: float = 1.0
     tol_kkt: float = 1e-8
-    max_iter: int = 5000
+    max_iter: int = 50
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -190,7 +186,7 @@ class QPProblem:
 
     ``QPProblem(H, q, z_min, z_max, const, n_blocks, n_x)`` takes a dense
     H and reads the band from it; entries outside the band are then kept
-    in ``H`` but not read by projected Newton.  ``assemble_qp`` passes
+    in ``H`` but not read by ``solve_box_qp``.  ``assemble_qp`` passes
     ``H=None`` and the band as ``D`` and ``E``.
     """
 
@@ -221,23 +217,35 @@ class QPProblem:
 
 @dataclass
 class SolveInfo:
+    """How a ``solve_box_qp`` run ended, for the problem ``qp`` it solved.
+
+    ``kkt_floor`` is the largest roundoff floor eps (2|H||z| + |q|) of the
+    gradient at the returned point when the plain KKT test failed there (0
+    when it passed).  A solve is converged when every coordinate's
+    projected gradient lies below max(tol_kkt, its floor).
+    """
+
     converged: bool
     iterations: int
     kkt_residual: float
     objective: float
-    objective_history: list = field(default_factory=list)
-    # Roundoff scale of one objective evaluation; objective comparisons
-    # below this are meaningless, so monotonicity holds modulo this slack.
-    noise_floor: float = 0.0
-    restarts: int = 0
-    # Which solver produced the result: "newton" (solve_box_qp_newton) or
-    # "pg" (solve_box_qp).
-    solver: str = "pg"
-    # Newton only: the largest roundoff floor eps (2|H||z| + |q|) of the
-    # gradient at the returned point when the plain KKT test failed there
-    # (0 when it passed).  A solve is converged when every coordinate's
-    # projected gradient lies below max(tol_kkt, its floor).
-    kkt_floor: float = 0.0
+    objective_history: list
+    kkt_floor: float
+    qp: QPProblem = field(repr=False, compare=False)
+    # Projected Newton takes no momentum steps, so it never restarts.
+    restarts = 0
+
+    @property
+    def noise_floor(self) -> float:
+        """Roundoff scale of one objective evaluation in the box,
+        16 eps (a'|H|a + |q|'a + |const|) with a = max(|z_min|, |z_max|).
+        Objective values closer than this cannot be told apart, so the
+        history is nonincreasing to within it.  Computed when read."""
+        qp = self.qp
+        a = np.maximum(np.abs(qp.z_min), np.abs(qp.z_max))
+        Ha = _band_matvec(np.abs(qp.D), np.abs(qp.E), a)
+        return 16.0 * np.finfo(float).eps * float(
+            a @ Ha + np.abs(qp.q) @ a + abs(qp.const))
 
 
 def operating_point(prev_window: list[np.ndarray]) -> np.ndarray:
@@ -301,30 +309,6 @@ def assemble_qp(buf: HorizonBuffer, x_bar_s, cfg: MheConfig,
     return QPProblem(None, q, z_min, z_max, const, n_b, n_x, D, E)
 
 
-def _power_iteration_l(H: np.ndarray, iters: int = 200) -> float:
-    """Upper estimate of the gradient Lipschitz constant 2*lambda_max(H).
-
-    Deterministic start vector; stops early once the eigenvalue estimate
-    stabilizes.  The 5% margin covers the remaining power-iteration error;
-    the solver additionally guards against an underestimate at run time.
-    """
-    n = H.shape[0]
-    v = np.ones(n) + 1e-3 * np.arange(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = H @ v
-        nw = np.linalg.norm(w)
-        if nw <= 1e-300:
-            break
-        if abs(nw - lam) <= 1e-12 * nw:
-            lam = nw
-            break
-        lam = nw
-        v = w / nw
-    return max(2.0 * lam * 1.05, 1e-12)
-
-
 def _projected_gradient(z, g, lo, hi) -> np.ndarray:
     """Per-coordinate violation of the box KKT conditions: |g| inside the
     box, and at a bound the part of g that points out of the box."""
@@ -360,105 +344,6 @@ def _below_roundoff(z, g, qp: QPProblem, abs_band, tol_kkt: float):
         2.0 * _band_matvec(*abs_band, np.abs(z)) + np.abs(qp.q))
     r = _projected_gradient(z, g, qp.z_min, qp.z_max)
     return bool(np.all(r <= np.maximum(tol_kkt, floor))), float(floor.max())
-
-
-def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 5000,
-                 z0=None) -> tuple[np.ndarray, SolveInfo]:
-    """Accelerated projected gradient descent on a box-constrained QP.
-
-    Fixed step 1/L with L from power iteration and Nesterov momentum.  The
-    momentum restarts whenever it points uphill or a step increases the
-    objective beyond the roundoff allowance, so the recorded objective
-    values are nonincreasing to within that allowance.  Terminates on the
-    projected KKT conditions; if the budget runs out the best iterate seen
-    is returned with the converged flag false.
-    """
-    # Jacobi preconditioning: substitute z = s * w elementwise with
-    # s = 1/sqrt(diag(H)).  The constraint set stays a box and the
-    # minimizer is unchanged; the iteration count drops because the
-    # conditioning improves.  Gradients are mapped back so the KKT
-    # residual and tolerance keep their meaning in the caller's space.
-    diag = np.clip(np.diag(qp.H), 1e-12, None)
-    s = 1.0 / np.sqrt(diag)
-    H = qp.H * (s[:, None] * s[None, :])
-    q = qp.q * s
-    lo, hi = qp.z_min / s, qp.z_max / s
-    if z0 is None:
-        z = np.clip(0.5 * (lo + hi), lo, hi)
-    else:
-        z = np.clip(np.asarray(z0, dtype=float) / s, lo, hi)
-    L = _power_iteration_l(H)
-
-    # Roundoff scale of one objective evaluation over the box: products of
-    # this size cancel when f is summed, so differences below the floor
-    # carry no information and must not drive control flow.
-    z_amp = np.maximum(np.abs(lo), np.abs(hi))
-    noise = 16.0 * np.finfo(float).eps * float(
-        z_amp @ (np.abs(H) @ z_amp) + np.abs(q) @ z_amp + abs(qp.const))
-
-    Hz = H @ z
-    f = float(z @ Hz + q @ z)
-    g = 2.0 * Hz + q
-    hist = [f + qp.const]
-    # Bound activity is classified in the preconditioned coordinates, but
-    # the gradient is mapped back (g_orig = g/s since z_orig = s*z) so the
-    # tolerance applies to the caller's problem.
-    kkt = _kkt_residual(z, g / s, lo, hi)
-
-    def out(w):
-        # Mapping back can move a bound-active coordinate by one ulp;
-        # the output must stay feasible exactly.
-        return np.clip(w * s, qp.z_min, qp.z_max)
-
-    if kkt <= tol_kkt:
-        return out(z), SolveInfo(True, 0, kkt, f + qp.const, hist, noise)
-    best_z, best_f, best_kkt = z.copy(), f, kkt
-
-    y = z
-    at_base = True  # y coincides with z, so g is also the gradient at y
-    t_m = 1.0
-    restarts = 0
-    it = 0
-    while it < max_iter:
-        it += 1
-        gy = g if at_base else 2.0 * (H @ y) + q
-        z_new = np.clip(y - gy / L, lo, hi)
-        Hz_new = H @ z_new
-        f_new = float(z_new @ Hz_new + q @ z_new)
-        if at_base and f_new > f + noise:
-            # A plain projected-gradient step increased the objective by
-            # more than roundoff allows: L must underestimate the true
-            # Lipschitz constant.  Certified failure, so doubling cannot
-            # loop forever.
-            L *= 2.0
-            continue
-        if not at_base and (gy @ (z_new - z) > 0.0 or f_new > f + noise):
-            # Momentum points uphill, or the step certifiably increased the
-            # objective: restart from the last accepted iterate.  The
-            # follow-up step is plain projected gradient, which descends
-            # (modulo roundoff), so accepted objective values are
-            # nonincreasing across restart boundaries.
-            restarts += 1
-            y = z
-            at_base = True
-            t_m = 1.0
-            continue
-        g_new = 2.0 * Hz_new + q
-        kkt = _kkt_residual(z_new, g_new / s, lo, hi)
-        hist.append(f_new + qp.const)
-        if kkt < best_kkt:
-            best_z, best_f, best_kkt = z_new.copy(), f_new, kkt
-        if kkt <= tol_kkt:
-            return out(z_new), SolveInfo(True, it, kkt, f_new + qp.const,
-                                         hist, noise, restarts)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
-        y = z_new + ((t_m - 1.0) / t_next) * (z_new - z)
-        at_base = False
-        z, f, g = z_new, f_new, g_new
-        t_m = t_next
-
-    return out(best_z), SolveInfo(False, max_iter, best_kkt,
-                                  best_f + qp.const, hist, noise, restarts)
 
 
 def _solve_blocks(D, E, rhs: np.ndarray) -> np.ndarray:
@@ -507,29 +392,31 @@ def _held_decoupled_band(D, E, held):
     return D_h, E_h
 
 
-def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
-                        ) -> tuple[np.ndarray, SolveInfo]:
+def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
+                 z0=None) -> tuple[np.ndarray, SolveInfo]:
     """Projected Newton method on a box-constrained QP (Bertsekas 1982).
 
-    Starts from the unconstrained minimiser solve(H, -q/2) clipped to the
-    box, so a problem whose bounds are all inactive converges after 0
-    iterations.  Each iteration holds the epsilon-active bounds whose
-    gradient points out of the box on a diagonally scaled step, takes a
-    Newton step on the free coordinates, and backtracks (Armijo) along the
-    projection arc.  Only the band ``qp.D``, ``qp.E`` of H is read: every
-    linear system, the start point's and each step's, is solved by block
-    elimination (``_solve_blocks``), and every product with H is a block
-    product.  Terminates on the same projected-KKT test as
-    ``solve_box_qp``, or, once that fails, when every coordinate's projected
-    gradient lies below the gradient's roundoff floor at that coordinate
-    (``SolveInfo.kkt_floor``); every iterate lies in the box exactly.  If
-    the budget runs out or a line search stalls, the last iterate is
-    returned with the converged flag false.  Raises
-    ``np.linalg.LinAlgError`` when a pivot block of the elimination is
-    singular, as it is for a singular H.
+    Starts from ``z0`` clipped to the box, or without ``z0`` from the
+    unconstrained minimiser solve(H, -q/2) clipped to the box, so a problem
+    whose bounds are all inactive converges after 0 iterations.  Each
+    iteration holds the epsilon-active bounds whose gradient points out of
+    the box on a diagonally scaled step, takes a Newton step on the free
+    coordinates, and backtracks (Armijo) along the projection arc.  Only the
+    band ``qp.D``, ``qp.E`` of H is read: every linear system, the start
+    point's and each step's, is solved by block elimination
+    (``_solve_blocks``), and every product with H is a block product.
+    Terminates on the projected KKT conditions, or, once they fail, when
+    every coordinate's projected gradient lies below the gradient's roundoff
+    floor at that coordinate (``SolveInfo.kkt_floor``); every iterate lies
+    in the box exactly.  If ``max_iter`` iterations run out or a line search
+    stalls, the last iterate is returned with the converged flag false.
+    Raises ``np.linalg.LinAlgError`` when a pivot block of the elimination
+    is singular, as it is for a singular H.
     """
     D, E, q, lo, hi = qp.D, qp.E, qp.q, qp.z_min, qp.z_max
-    z = np.clip(_solve_blocks(D, E, -0.5 * q), lo, hi)
+    if z0 is None:
+        z0 = _solve_blocks(D, E, -0.5 * q)
+    z = np.clip(np.asarray(z0, dtype=float), lo, hi)
     Hz = _band_matvec(D, E, z)
     f = float(z @ Hz + q @ z)
     g = 2.0 * Hz + q
@@ -542,7 +429,7 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
         if abs_band is None:
             abs_band = (np.abs(D), np.abs(E))
         converged, floor = _below_roundoff(z, g, qp, abs_band, tol_kkt)
-        if converged or it == NEWTON_MAX_ITER:
+        if converged or it >= max_iter:
             break
         it += 1
         eps = min(NEWTON_EPS, float(np.linalg.norm(z - np.clip(z - g, lo, hi))))
@@ -576,8 +463,7 @@ def solve_box_qp_newton(qp: QPProblem, tol_kkt: float = 1e-8
         kkt = _kkt_residual(z, g, lo, hi)
         if kkt <= tol_kkt:
             converged, floor = True, 0.0
-    return z, SolveInfo(converged, it, kkt, f + qp.const, hist,
-                        solver="newton", kkt_floor=floor)
+    return z, SolveInfo(converged, it, kkt, f + qp.const, hist, floor, qp)
 
 
 class MheSession:
@@ -587,10 +473,17 @@ class MheSession:
     transition together with the new measurement and returns the estimate.
     The linearization and arrival-prediction routines can be replaced,
     which turns the session into an exact estimator for affine models.
+    The arrival weight ``mu`` and the model weight ``w2`` must be positive,
+    so that the window Hessian is positive definite: the arrival term pins
+    the first block and each model residual the next.
     """
 
     def __init__(self, x0, cfg: MheConfig, topo: Topology, params: ModelParams,
                  model_linearizer=None, meas_linearizer=None, predictor=None):
+        for name in ("mu", "w2"):
+            if not getattr(cfg, name) > 0:
+                raise ValueError(f"MheSession needs a positive {name}, got "
+                                 f"{getattr(cfg, name)}")
         self.cfg = cfg
         self.topo = topo
         self.params = params
@@ -643,13 +536,7 @@ class MheSession:
                                   self.buffer.entry_at(start).u)
         qp = assemble_qp(self.buffer, x_bar / self._d, self.cfg,
                          self._lo_s, self._hi_s)
-        try:
-            z, info = solve_box_qp_newton(qp, self.cfg.tol_kkt)
-        except np.linalg.LinAlgError:
-            z, info = None, None
-        if info is None or not info.converged:
-            # The Newton iterate is feasible, so it is a valid warm start.
-            z, info = solve_box_qp(qp, self.cfg.tol_kkt, self.cfg.max_iter, z)
+        z, info = solve_box_qp(qp, self.cfg.tol_kkt, self.cfg.max_iter)
         self.last_info = info
         if not info.converged:
             self.failed_solves += 1

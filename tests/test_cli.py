@@ -246,3 +246,26 @@ def test_smooth_and_jobs_validation(tmp_path, capsys):
                      "--sweep", "noise", "--out", str(tmp_path / "x.csv"),
                      "--jobs", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"duration_s": 10 ** 400}, "configuration.duration_s"),
+    ({"inputs": {"ramp_demand_veh_h": [600.0, 10 ** 400]}},
+     "inputs.ramp_demand_veh_h[1]"),
+])
+def test_integers_too_large_for_a_float_rejected(tmp_path, capsys, doc,
+                                                 field):
+    cfg = _write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert f"{field} must be a finite number" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    assert cli.main(["estimate", "--config", _small_cfg(tmp_path),
+                     "--seed", "-1"]) == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_gramian_terms_must_be_positive(capsys):
+    assert cli.main(["gramian", "--terms", "0"]) == 2
+    assert "--terms must be a positive integer" in capsys.readouterr().err
