@@ -7,185 +7,15 @@ direct solve, and Kalman-family baselines, plus the twin-experiment
 machinery to compare them under different sensor layouts.
 """
 
-from .model import (
-    EPS_RHO,
-    BlowupError,
-    FluxSet,
-    ModelError,
-    ModelParams,
-    OffRamp,
-    OnRamp,
-    StepDiagnostics,
-    Topology,
-    build_update_matrices,
-    compute_fluxes,
-    demand,
-    equilibrium_speed,
-    equilibrium_state,
-    flux_diverge,
-    flux_merge,
-    flux_one_to_one,
-    measure_h,
-    nonlinear_f,
-    pack_inputs,
-    pressure,
-    pressure_gradient,
-    sigma_crit,
-    speeds_from_state,
-    state_bounds,
-    state_scale,
-    step,
-    supply,
-)
-from .linearize import (
-    LinearizedMeasurement,
-    LinearizedModel,
-    jacobian_fu,
-    jacobian_fx,
-    linearize_measurement,
-    linearize_model,
-    measurement_jacobian,
-)
-from .sensing import (
-    GramianResult,
-    SensorSchedule,
-    build_observation,
-    mobile_positions_at,
-    observability_gramian,
-    positions_at,
-    synthesize_measurements,
-)
-from .kalman import (
-    EstimatorConfig,
-    EstimatorError,
-    EstimatorState,
-    KalmanRunner,
-    ekf_step,
-    enkf_step,
-    init_state,
-    project_to_bounds,
-    ukf_step,
-)
-from .mhe import (
-    HorizonBuffer,
-    HorizonEntry,
-    MheConfig,
-    MheSession,
-    QPProblem,
-    SolveInfo,
-    assemble_qp,
-    operating_point,
-    predict_arrival,
-    solve_box_qp,
-)
-from .scenarios import (
-    FILL_ORDER,
-    EstimatorSpec,
-    JamSpec,
-    RunResult,
-    Scenario,
-    TruthResult,
-    constant_inputs,
-    default_scenario,
-    default_schedule,
-    generate_truth,
-    make_estimator,
-    moving_average,
-    paper_params,
-    paper_topology,
-    rmse,
-    run_estimation,
-    sweep_noise,
-    sweep_rotation,
-    sweep_sensor_count,
-    sweep_spacing,
-    write_sweep_csv,
-)
+from . import kalman, linearize, mhe, model, scenarios, sensing
+from .kalman import *  # noqa: F401,F403
+from .linearize import *  # noqa: F401,F403
+from .mhe import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .scenarios import *  # noqa: F401,F403
+from .sensing import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EPS_RHO",
-    "BlowupError",
-    "FluxSet",
-    "ModelError",
-    "ModelParams",
-    "OffRamp",
-    "OnRamp",
-    "StepDiagnostics",
-    "Topology",
-    "build_update_matrices",
-    "compute_fluxes",
-    "demand",
-    "equilibrium_speed",
-    "equilibrium_state",
-    "flux_diverge",
-    "flux_merge",
-    "flux_one_to_one",
-    "measure_h",
-    "nonlinear_f",
-    "pack_inputs",
-    "pressure",
-    "pressure_gradient",
-    "sigma_crit",
-    "speeds_from_state",
-    "state_bounds",
-    "state_scale",
-    "step",
-    "supply",
-    "LinearizedMeasurement",
-    "LinearizedModel",
-    "jacobian_fu",
-    "jacobian_fx",
-    "linearize_measurement",
-    "linearize_model",
-    "measurement_jacobian",
-    "GramianResult",
-    "SensorSchedule",
-    "build_observation",
-    "mobile_positions_at",
-    "observability_gramian",
-    "positions_at",
-    "synthesize_measurements",
-    "EstimatorConfig",
-    "EstimatorError",
-    "EstimatorState",
-    "KalmanRunner",
-    "ekf_step",
-    "enkf_step",
-    "init_state",
-    "project_to_bounds",
-    "ukf_step",
-    "HorizonBuffer",
-    "HorizonEntry",
-    "MheConfig",
-    "MheSession",
-    "QPProblem",
-    "SolveInfo",
-    "assemble_qp",
-    "operating_point",
-    "predict_arrival",
-    "solve_box_qp",
-    "FILL_ORDER",
-    "EstimatorSpec",
-    "JamSpec",
-    "RunResult",
-    "Scenario",
-    "TruthResult",
-    "constant_inputs",
-    "default_scenario",
-    "default_schedule",
-    "generate_truth",
-    "make_estimator",
-    "moving_average",
-    "paper_params",
-    "paper_topology",
-    "rmse",
-    "run_estimation",
-    "sweep_noise",
-    "sweep_rotation",
-    "sweep_sensor_count",
-    "sweep_spacing",
-    "write_sweep_csv",
-    "__version__",
-]
+__all__ = [name for mod in (model, linearize, sensing, kalman, mhe, scenarios)
+           for name in mod.__all__] + ["__version__"]

@@ -39,7 +39,7 @@ from .model import (
     OffRamp,
     OnRamp,
     Topology,
-    measure_h_batch,
+    measure_h,
     state_scale,
 )
 from .scenarios import (
@@ -298,10 +298,7 @@ def build_scenario(doc: dict) -> tuple[Scenario, float]:
                                   f"{', '.join(ESTIMATOR_KINDS)}")
             specs.append(EstimatorSpec(name))
 
-        seeds = doc.get("seeds", [0, 1, 2, 3, 4])
-        seeds = tuple(_int_list(seeds, "seeds"))
-        if not seeds:
-            raise ConfigError("seeds must be non-empty")
+        seeds = tuple(_int_list(doc.get("seeds", [0, 1, 2, 3, 4]), "seeds"))
 
         sid = doc.get("scenario_id", "config")
         if not isinstance(sid, str):
@@ -376,7 +373,7 @@ def cmd_estimate(args) -> int:
     res = run_estimation(sc, truth, spec, args.seed)
     if args.out is not None:
         with _open_out(args.out) as fh:
-            _write_trajectory(fh, measure_h_batch(res.est, sc.params),
+            _write_trajectory(fh, measure_h(res.est, sc.params),
                               step_s, args.smooth)
     summary = {
         "scenario_id": sc.scenario_id,

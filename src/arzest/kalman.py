@@ -18,7 +18,6 @@ from .model import (
     Topology,
     _update,
     measure_h,
-    measure_h_batch,
     state_bounds,
     state_scale,
     step_batch,
@@ -215,7 +214,7 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
                               jitter_events=state.jitter_events)
 
     n_p = C_sel.shape[0]
-    Y = measure_h_batch(prop * d[None, :], params) @ C_sel.T
+    Y = measure_h(prop * d[None, :], params) @ C_sel.T
     y_pred = wm @ Y
     dy = Y - y_pred
     S = (dy.T * wc) @ dy + cfg.r * np.eye(n_p)
@@ -246,7 +245,7 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     C_sel = np.asarray(C_sel, dtype=float)
     if C_sel.shape[0] > 0:
         n_p = C_sel.shape[0]
-        Y = measure_h_batch(ens, params) @ C_sel.T
+        Y = measure_h(ens, params) @ C_sel.T
         ens_s = ens / d
         xm_s = ens_s.mean(axis=0)
         ym = Y.mean(axis=0)

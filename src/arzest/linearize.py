@@ -158,8 +158,7 @@ def linearize_model(x0, u0, topo: Topology, params: ModelParams,
     return LinearizedModel(A_tilde, B, c1, x0, u0, tie, f0)
 
 
-def measurement_jacobian(x0, params: ModelParams,
-                         eps_rho: float = EPS_RHO) -> tuple[np.ndarray, bool]:
+def measurement_jacobian(x0, params: ModelParams) -> tuple[np.ndarray, bool]:
     """Analytic Jacobian of measure_h at x0.
 
     Density rows are unit selectors.  Speed rows differentiate
@@ -175,19 +174,19 @@ def measurement_jacobian(x0, params: ModelParams,
         r, ps = 2 * s, 2 * s + 1
         rho, psi = x0[r], x0[ps]
         H[r, r] = 1.0
-        if rho > eps_rho:
+        if rho > EPS_RHO:
             dp = v_f * gamma * rho ** (gamma - 1.0) / rho_m ** gamma
             H[ps, r] = -psi / rho ** 2 - dp
             H[ps, ps] = 1.0 / rho
         else:
             floored = True
             H[ps, r] = 0.0
-            H[ps, ps] = 1.0 / eps_rho
+            H[ps, ps] = 1.0 / EPS_RHO
     return H, floored
 
 
-def linearize_measurement(x0, C_sel, params: ModelParams,
-                          eps_rho: float = EPS_RHO) -> LinearizedMeasurement:
+def linearize_measurement(x0, C_sel,
+                          params: ModelParams) -> LinearizedMeasurement:
     """Affine measurement model through a row selector C_sel.
 
     ``c2`` makes the affine map exact at x0:
@@ -195,8 +194,8 @@ def linearize_measurement(x0, C_sel, params: ModelParams,
     """
     x0 = np.asarray(x0, dtype=float)
     C_sel = np.asarray(C_sel, dtype=float)
-    H, floored = measurement_jacobian(x0, params, eps_rho)
+    H, floored = measurement_jacobian(x0, params)
     C_tilde = C_sel @ H
-    h0 = measure_h(x0, params, eps_rho)
+    h0 = measure_h(x0, params)
     c2 = C_sel @ (h0 - H @ x0)
     return LinearizedMeasurement(C_tilde, c2, x0, floored)

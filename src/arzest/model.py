@@ -64,9 +64,7 @@ __all__ = [
     "speeds_from_state",
     "equilibrium_state",
     "pack_inputs",
-    "nonlinear_f_batch",
     "step_batch",
-    "measure_h_batch",
 ]
 
 # Density floor used wherever a division by rho would blow up.
@@ -792,16 +790,16 @@ def step(x, u, topo: Topology, params: ModelParams, ds_scale=None,
     return _advance(x, u, topo, params, ds_scale, diag)
 
 
-def measure_h(x, params: ModelParams, eps_rho: float = EPS_RHO) -> np.ndarray:
+def measure_h(x, params: ModelParams) -> np.ndarray:
     """Full measurement vector: (density, speed) per segment.
 
-    Speed rows use ``psi/rho - p(rho)`` with rho floored at ``eps_rho``.
+    Speed rows use ``psi/rho - p(rho)`` with rho floored at ``EPS_RHO``.
     Any leading axes of ``x`` are kept, so a stack of states maps row by row.
     """
     x = np.asarray(x, dtype=float)
     rho = x[..., 0::2]
     psi = x[..., 1::2]
-    rho_s = np.maximum(rho, eps_rho)
+    rho_s = np.maximum(rho, EPS_RHO)
     v = psi / rho_s - params.v_f * (rho_s / params.rho_m) ** params.gamma
     h = np.empty_like(x)
     h[..., 0::2] = rho
@@ -809,9 +807,9 @@ def measure_h(x, params: ModelParams, eps_rho: float = EPS_RHO) -> np.ndarray:
     return h
 
 
-def speeds_from_state(x, params: ModelParams, eps_rho: float = EPS_RHO) -> np.ndarray:
+def speeds_from_state(x, params: ModelParams) -> np.ndarray:
     """Per-segment speeds (the odd rows of measure_h)."""
-    return measure_h(x, params, eps_rho)[..., 1::2]
+    return measure_h(x, params)[..., 1::2]
 
 
 def equilibrium_state(topo: Topology, params: ModelParams, rho: float) -> np.ndarray:
@@ -977,8 +975,3 @@ def step_batch(X, u, topo: Topology, params: ModelParams,
                ds_scale=None) -> np.ndarray:
     """Godunov update of a population of states; rows clamped like step()."""
     return _advance(X, u, topo, params, ds_scale)
-
-
-# Population names kept for callers; both functions take any leading shape.
-nonlinear_f_batch = nonlinear_f
-measure_h_batch = measure_h

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time as _time
 from dataclasses import dataclass, field, replace
 
@@ -130,6 +129,9 @@ class Scenario:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError("seeds must be a non-empty list of integers "
+                             f">= 0, got {list(self.seeds)}")
         if self.jam is not None:
             if not 1 <= self.jam.segment <= self.topo.n_segments:
                 raise ValueError("jam segment out of range")
@@ -406,49 +408,6 @@ def _cell_job(args) -> dict:
     return _averaged_row(sc, sweep, knob, spec, truth, cell)
 
 
-def _openblas_thread_controls() -> list:
-    """(get, set) for the thread count of each OpenBLAS library loaded in
-    this process; empty where there is none (another BLAS) or
-    ``/proc/self/maps`` cannot be read."""
-    import ctypes
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh
-                     if "openblas" in line.rsplit("/", 1)[-1].lower()}
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"),
-                               ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return controls
-
-
-def _set_blas_threads(counts: int | list[int]) -> list[int]:
-    """Set the thread count of each loaded OpenBLAS library, to one int for
-    all or to a list in ``_openblas_thread_controls`` order; return the
-    counts they had."""
-    controls = _openblas_thread_controls()
-    before = [get() for get, _ in controls]
-    if isinstance(counts, int):
-        counts = [counts] * len(controls)
-    for (_, put), n in zip(controls, counts):
-        put(n)
-    return before
-
-
 def _sweep(sc: Scenario, name: str, cells, truth: TruthResult | None,
            jobs: int, specs=None) -> list[dict]:
     """Run each (knob, cell scenario) pair of a sweep with every estimator
@@ -458,12 +417,8 @@ def _sweep(sc: Scenario, name: str, cells, truth: TruthResult | None,
     With ``jobs`` > 1 this process is one of them: it forks ``jobs - 1``
     workers, which take cells from the front of the list, and runs cells
     itself from the back until the two meet, rather than fork one more
-    copy of itself and wait.  Each process gets an equal share of the
-    cores as BLAS threads.  With the library's default, one thread per
-    core in every process, the MHE's solves in different processes
-    spin against each other and a cell's time swings up to tenfold with
-    how they overlap.  Rows come back in cell order either way, so the
-    output is deterministic regardless of worker scheduling.
+    copy of itself and wait.  Rows come back in cell order either way, so
+    the output is deterministic regardless of worker scheduling.
     """
     truth = truth if truth is not None else generate_truth(sc)
     specs = sc.estimators if specs is None else specs
@@ -472,23 +427,14 @@ def _sweep(sc: Scenario, name: str, cells, truth: TruthResult | None,
     if jobs <= 1 or len(tasks) <= 1:
         return [_cell_job(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    threads = max(1, cores // jobs)
     rows = [None] * len(tasks)
-    before = _set_blas_threads(threads)
-    try:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)) - 1,
-                                 initializer=_set_blas_threads,
-                                 initargs=(threads,)) as ex:
-            futures = [ex.submit(_cell_job, t) for t in tasks]
-            for i in reversed(range(len(tasks))):
-                if futures[i].cancel():  # no worker has taken it yet
-                    rows[i] = _cell_job(tasks[i])
-            return [f.result() if row is None else row
-                    for row, f in zip(rows, futures)]
-    finally:
-        _set_blas_threads(before)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)) - 1) as ex:
+        futures = [ex.submit(_cell_job, t) for t in tasks]
+        for i in reversed(range(len(tasks))):
+            if futures[i].cancel():  # no worker has taken it yet
+                rows[i] = _cell_job(tasks[i])
+        return [f.result() if row is None else row
+                for row, f in zip(rows, futures)]
 
 
 def _period_knob(period):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import arzest.cli as cli
+import arzest.scenarios as scenarios
 from arzest.model import BlowupError
 
 
@@ -264,6 +265,20 @@ def test_negative_seed_rejected(tmp_path, capsys):
     assert cli.main(["estimate", "--config", _small_cfg(tmp_path),
                      "--seed", "-1"]) == 2
     assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", [[-1], []])
+def test_config_seeds_must_be_non_negative_and_non_empty(tmp_path, capsys,
+                                                         monkeypatch, seeds):
+    monkeypatch.setattr(scenarios, "generate_truth",
+                        lambda sc: pytest.fail("truth generated"))
+    cfg = _write_config(tmp_path, {"duration_s": 5, "estimators": ["ekf"],
+                                   "seeds": seeds})
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--config", cfg, "--sweep", "noise",
+                     "--out", str(out)]) == 2
+    assert "seeds must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gramian_terms_must_be_positive(capsys):

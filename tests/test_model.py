@@ -26,9 +26,7 @@ from arzest.model import (
     flux_merge,
     flux_one_to_one,
     measure_h,
-    measure_h_batch,
     nonlinear_f,
-    nonlinear_f_batch,
     pack_inputs,
     pressure,
     pressure_gradient,
@@ -367,7 +365,7 @@ def test_batch_matches_scalar_f(topo, params):
     rng = np.random.default_rng(9)
     X = random_states(rng, topo, 200, rho_lo=0.0, w_lo=0.0)
     u = _paper_inputs(topo)
-    F = nonlinear_f_batch(X, u, topo, params)
+    F = nonlinear_f(X, u, topo, params)
     for i in range(X.shape[0]):
         f = nonlinear_f(X[i], u, topo, params)
         np.testing.assert_allclose(F[i], f, rtol=1e-9, atol=1e-9)
@@ -378,7 +376,7 @@ def test_batch_matches_scalar_step_and_measure(topo, params):
     X = random_states(rng, topo, 100)
     u = _paper_inputs(topo)
     S = step_batch(X, u, topo, params)
-    H = measure_h_batch(X, params)
+    H = measure_h(X, params)
     for i in range(X.shape[0]):
         np.testing.assert_allclose(S[i], step(X[i], u, topo, params),
                                    rtol=1e-9, atol=1e-9)
@@ -396,7 +394,7 @@ def test_batch_per_row_inputs(topo, params):
                            rng.uniform(5, 300), (rng.uniform(0, 1500),),
                            (rng.uniform(10, 102),),
                            (rng.uniform(5, 100), rng.uniform(5, 100)))
-    F = nonlinear_f_batch(X, U, topo, params)
+    F = nonlinear_f(X, U, topo, params)
     for i in range(20):
         np.testing.assert_allclose(F[i], nonlinear_f(X[i], U[i], topo, params),
                                    rtol=1e-9, atol=1e-9)
@@ -409,7 +407,7 @@ def test_batch_scaled_demand_supply(topo, params):
     u = _paper_inputs(topo)
     scales = np.ones(topo.n_segments)
     scales[6] = 0.3
-    F = nonlinear_f_batch(X, u, topo, params, ds_scale=scales)
+    F = nonlinear_f(X, u, topo, params, ds_scale=scales)
     for i in range(X.shape[0]):
         np.testing.assert_allclose(
             F[i], nonlinear_f(X[i], u, topo, params, ds_scale=scales),

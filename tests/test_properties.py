@@ -19,7 +19,6 @@ from arzest.model import (
     Topology,
     compute_fluxes,
     nonlinear_f,
-    nonlinear_f_batch,
     state_bounds,
     step,
     step_batch,
@@ -97,7 +96,7 @@ def test_one_state_and_population_evaluators_agree(case):
     # numpy's power and Python's ** may differ in the last bit, and a net
     # flux can cancel, so the absolute tolerance follows the flux size.
     topo, p, X, U, scale = case
-    F = nonlinear_f_batch(X, U, topo, p, ds_scale=scale)
+    F = nonlinear_f(X, U, topo, p, ds_scale=scale)
     for x, u, f_pop in zip(X, U, F):
         fl = compute_fluxes(x, u, topo, p, ds_scale=scale)
         f_one = nonlinear_f(x, u, topo, p, ds_scale=scale)

@@ -94,6 +94,9 @@ def test_scenario_validation():
             Scenario(**{**sc.__dict__, "noise_std": std})
     with pytest.raises(ValueError, match="noise_std"):
         default_scenario(20, -5.0)
+    for seeds in ((), (0, -1)):
+        with pytest.raises(ValueError, match="seeds"):
+            Scenario(**{**sc.__dict__, "seeds": seeds})
     # Layouts that only the topology can refuse: a segment past the last
     # one, and a mobile start on a ramp.
     for sched in (SensorSchedule(fixed_segments=(99,)),
@@ -358,18 +361,19 @@ def test_sweep_noise_rows_and_monotone_effect():
 
 
 def test_sweep_jobs_match_sequential():
-    """Pooled rows equal serial ones exactly, though a pooled process may run
-    with fewer BLAS threads.  The second case is the noise-sweep inputs
-    (80-step reference twin, jam on cell 7 from step 5) with the MHE, whose
-    noise-40 QPs take Newton iterations."""
+    """Pooled rows equal serial ones exactly.  The second case is the
+    noise-sweep inputs (80-step reference twin, jam on cell 7 from step 5)
+    with the MHE, whose noise-40 QPs take Newton iterations, and the UKF and
+    EnKF."""
     ekf = _small(t_f=20, seeds=(0, 1))
-    mhe = replace(default_scenario(80, 40.0, (EstimatorSpec("mhe"),)),
-                  jam=JamSpec(segment=7, start=5, end=80))
-    for sc, stds in ((ekf, (0.0, 10.0)), (mhe, (40.0, 0.0))):
+    sweep = replace(default_scenario(80, 40.0, tuple(
+        EstimatorSpec(k) for k in ("mhe", "ukf", "enkf"))),
+        jam=JamSpec(segment=7, start=5, end=80))
+    for sc, stds in ((ekf, (0.0, 10.0)), (sweep, (40.0, 0.0))):
         truth = generate_truth(sc)
         seq = sweep_noise(sc, stds=stds, truth=truth, jobs=1)
         par = sweep_noise(sc, stds=stds, truth=truth, jobs=2)
-        assert len(seq) == len(par) == len(stds)
+        assert len(seq) == len(par) == len(stds) * len(sc.estimators)
         for a, b in zip(seq, par):
             assert a["rmse_rho"] == b["rmse_rho"]
             assert a["rmse_v"] == b["rmse_v"]
@@ -389,19 +393,6 @@ def test_pooled_sweep_shares_cells_with_the_caller(monkeypatch):
     assert [r["knob"] for r in rows] == list(range(8))
     pids = {r["pid"] for r in rows}
     assert os.getpid() in pids and len(pids) == 2
-
-
-def test_pooled_sweep_restores_blas_threads():
-    # A count the sweep's own share (cores // jobs) cannot equal.
-    mine = max(1, len(os.sched_getaffinity(0)) // 2) + 1
-    saved = scenarios._set_blas_threads(mine)
-    try:
-        sc = _small(t_f=10)
-        sweep_noise(sc, stds=(0.0, 10.0), truth=generate_truth(sc), jobs=2)
-        after = [get() for get, _ in scenarios._openblas_thread_controls()]
-        assert after == [mine] * len(saved)
-    finally:
-        scenarios._set_blas_threads(saved)
 
 
 def test_write_sweep_csv(tmp_path):
