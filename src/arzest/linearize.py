@@ -15,6 +15,8 @@ networks that is 7 state and 2 input groups, so ``linearize_model``
 evaluates 18 perturbed states where a dense stencil evaluates
 2 (n_x + n_u): 62 on the 9-cell network and 154 on the 30-cell one.  The
 result equals the dense stencil's bit for bit, branch-tie flag included.
+The same call carries the unperturbed state, whose net flux is the
+model's ``f0``.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from .model import (
     _net_flux,
     build_update_matrices,
     measure_h,
-    nonlinear_f,
 )
 
 __all__ = [
@@ -84,8 +85,9 @@ def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
     Each group of the topology's column coloring is perturbed at once and
     ``J[i, j] = dF_group(j)[i] / (2 h_j)`` is read off on the sparsity
     pattern; every entry equals the column-by-column stencil's bit for bit.
-    Returns ``([J per block], tie)``: the flag marks a stencil that met a
-    flux branch tie.
+    Returns ``([J per block], tie, f0)``: the flag marks a stencil that met
+    a flux branch tie, and ``f0`` is the net flux at (x0, u0), from the
+    unperturbed state the call carries as its last row.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -93,8 +95,8 @@ def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
     n = x0.size
     base = plan.base[blocks]
     rows = sum(2 * len(plan.groups[key].groups) for key in blocks)
-    # Each group's + rows and - rows, then the unperturbed state if needed.
-    X = np.empty((rows + (base.size > 0), n))
+    # Each group's + rows and - rows, then the unperturbed state.
+    X = np.empty((rows + 1, n))
     U = np.empty((len(X), u0.size))
     X[:], U[:] = x0, u0
     parts, i = [], 0
@@ -108,7 +110,8 @@ def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
         parts.append((c, h, slice(i, i + 2 * len(d))))
         i += 2 * len(d)
     F, gap = _net_flux(X, U, topo, params, ds_scale)
-    margin = min(gap[:rows].min(), gap[rows:, base].min(initial=np.inf))
+    # The unperturbed row's margins count only where no group shows them.
+    margin = min(gap[:rows].min(), gap[rows, base].min(initial=np.inf))
     Js = []
     for c, h, at in parts:
         Fk = F[at].ravel()
@@ -118,7 +121,7 @@ def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
         Jt[c.entry] = ((Fk.take(c.plus) - Fk.take(c.minus))
                        / (2.0 * h).take(c.col))
         Js.append(Jt.reshape(h.size, n).T)
-    return Js, bool(margin < TIE_TOL)
+    return Js, bool(margin < TIE_TOL), F[rows]
 
 
 def jacobian_fx(x0, u0, topo: Topology, params: ModelParams,
@@ -128,14 +131,14 @@ def jacobian_fx(x0, u0, topo: Topology, params: ModelParams,
     Returns (J, branch_tie).  Columns touching a flux branch tie are still
     returned; the flag marks the result as suspect for diagnostics.
     """
-    (J,), tie = _stencils(x0, u0, topo, params, ds_scale, "x")
+    (J,), tie, _ = _stencils(x0, u0, topo, params, ds_scale, "x")
     return J, tie
 
 
 def jacobian_fu(x0, u0, topo: Topology, params: ModelParams,
                 ds_scale=None) -> tuple[np.ndarray, bool]:
     """Central-difference Jacobian of f w.r.t. the input."""
-    (J,), tie = _stencils(x0, u0, topo, params, ds_scale, "u")
+    (J,), tie, _ = _stencils(x0, u0, topo, params, ds_scale, "u")
     return J, tie
 
 
@@ -150,8 +153,7 @@ def linearize_model(x0, u0, topo: Topology, params: ModelParams,
     u0 = np.asarray(u0, dtype=float)
     A, G = build_update_matrices(topo, params)
     g = params.T / params.l  # G is g * I
-    f0 = nonlinear_f(x0, u0, topo, params, ds_scale)
-    (Jx, Ju), tie = _stencils(x0, u0, topo, params, ds_scale)
+    (Jx, Ju), tie, f0 = _stencils(x0, u0, topo, params, ds_scale)
     A_tilde = A + g * Jx
     B = g * Ju
     c1 = g * (f0 - Jx @ x0 - Ju @ u0)
@@ -167,22 +169,19 @@ def measurement_jacobian(x0, params: ModelParams) -> tuple[np.ndarray, bool]:
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    H = np.zeros((n, n))
-    floored = False
     v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
-    for s in range(n // 2):
-        r, ps = 2 * s, 2 * s + 1
-        rho, psi = x0[r], x0[ps]
-        H[r, r] = 1.0
-        if rho > EPS_RHO:
-            dp = v_f * gamma * rho ** (gamma - 1.0) / rho_m ** gamma
-            H[ps, r] = -psi / rho ** 2 - dp
-            H[ps, ps] = 1.0 / rho
-        else:
-            floored = True
-            H[ps, r] = 0.0
-            H[ps, ps] = 1.0 / EPS_RHO
-    return H, floored
+    rho, psi = x0[0::2], x0[1::2]
+    live = rho > EPS_RHO
+    r = np.where(live, rho, EPS_RHO)
+    dp = v_f * gamma * r ** (gamma - 1.0) / rho_m ** gamma
+    H = np.zeros((n, n))
+    # Segment s's entries (2s, 2s), (2s+1, 2s) and (2s+1, 2s+1) lie at
+    # s * stride, then n and n + 1 further, in H's flat view.
+    flat, stride = H.reshape(-1), 2 * (n + 1)
+    flat[::stride] = 1.0
+    flat[n::stride] = np.where(live, -psi / r ** 2 - dp, 0.0)
+    flat[n + 1::stride] = 1.0 / r
+    return H, not live.all()
 
 
 def linearize_measurement(x0, C_sel,

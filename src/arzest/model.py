@@ -21,15 +21,16 @@ and b+1), one entry per on-ramp and one exit per off-ramp.  A ``Topology``
 compiles once into a table of boundary legs: an upstream main leg, an
 optional merging ramp leg, a downstream leg and an optional diverging off
 leg with split alpha.  Plain boundaries, ramp entries and ramp exits have
-neither optional leg.  One junction formula (``_junction_b``) serves every
-boundary, so no evaluator branches on the kind of junction.
+neither optional leg.  One junction formula (``_junctions``) serves every
+boundary, so nothing branches on the kind of junction, and one kernel
+evaluates it for one state and for a population alike (see "The flux
+kernel" below for what a single state costs).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -274,38 +275,28 @@ def sigma_crit(w: float, params: ModelParams) -> float:
 
 # Lenient kernels: finite-difference stencils and filter sigma points may
 # probe slightly outside the physical box, so these clamp instead of raising.
+# They take any array shape elementwise.  Both branches of demand and of
+# supply are ``r (w - p(r))``, at the cell's own density or at the critical
+# one; picking r first evaluates p once, and r is never negative.
 
 
-def _p_k(rho: float, v_f: float, rho_m: float, gamma: float) -> float:
-    if rho <= 0.0:
-        return 0.0
+def _p(rho, v_f, rho_m, gamma):
     return v_f * (rho / rho_m) ** gamma
 
 
-def _sigma_k(w: float, v_f: float, rho_m: float, gamma: float) -> float:
-    return rho_m * (w / (v_f * (1 + gamma))) ** (1.0 / gamma)
+def _sigma(w, v_f, rho_m, gamma):
+    return rho_m * (np.maximum(w, 0.0) / (v_f * (1.0 + gamma))) ** (1.0 / gamma)
 
 
-def _demand_k(rho: float, w: float, v_f: float, rho_m: float, gamma: float) -> float:
-    if rho <= 0.0 or w <= 0.0:
-        return 0.0
-    s = _sigma_k(w, v_f, rho_m, gamma)
-    if rho <= s:
-        val = rho * (w - _p_k(rho, v_f, rho_m, gamma))
-    else:
-        val = s * (w - _p_k(s, v_f, rho_m, gamma))
-    return val if val > 0.0 else 0.0
+def _demand(rho, w, v_f, rho_m, gamma):
+    # An empty cell or a non-positive w gives r = 0 and so no demand.
+    r = np.minimum(np.maximum(rho, 0.0), _sigma(w, v_f, rho_m, gamma))
+    return np.maximum(r * (w - _p(r, v_f, rho_m, gamma)), 0.0)
 
 
-def _supply_k(rho: float, w_up: float, v_f: float, rho_m: float, gamma: float) -> float:
-    if w_up <= 0.0:
-        return 0.0
-    s = _sigma_k(w_up, v_f, rho_m, gamma)
-    if rho <= s:
-        val = s * (w_up - _p_k(s, v_f, rho_m, gamma))
-    else:
-        val = rho * (w_up - _p_k(rho, v_f, rho_m, gamma))
-    return val if val > 0.0 else 0.0
+def _supply(rho, w_up, v_f, rho_m, gamma):
+    r = np.maximum(rho, _sigma(w_up, v_f, rho_m, gamma))
+    return np.maximum(r * (w_up - _p(r, v_f, rho_m, gamma)), 0.0)
 
 
 def demand(rho: float, w: float, params: ModelParams) -> float:
@@ -318,7 +309,7 @@ def demand(rho: float, w: float, params: ModelParams) -> float:
         raise ModelError(f"density must be nonnegative, got {rho}")
     if w < 0:
         raise ModelError(f"driver characteristic must be nonnegative, got {w}")
-    return _demand_k(rho, w, params.v_f, params.rho_m, params.gamma)
+    return float(_demand(rho, w, params.v_f, params.rho_m, params.gamma))
 
 
 def supply(rho: float, w_up: float, params: ModelParams) -> float:
@@ -331,101 +322,7 @@ def supply(rho: float, w_up: float, params: ModelParams) -> float:
         raise ModelError(f"density must be nonnegative, got {rho}")
     if w_up < 0:
         raise ModelError(f"driver characteristic must be nonnegative, got {w_up}")
-    return _supply_k(rho, w_up, params.v_f, params.rho_m, params.gamma)
-
-
-def _w_of(rho: float, psi: float) -> float:
-    return psi / (rho if rho > EPS_RHO else EPS_RHO)
-
-
-# ---------------------------------------------------------------------------
-# Junction fluxes
-# ---------------------------------------------------------------------------
-
-
-def _junction(D_m, w_m, D_r, w_r, rho_d, s_d, rho_o, s_o, alpha, ramp,
-              v_f, rho_m, gamma):
-    """One boundary in Python floats; the formula is ``_junction_b``'s."""
-    beta, w_bar, live = 1.0, w_m, True
-    if ramp:
-        tot = D_m + D_r
-        live = tot > 0.0
-        beta = D_m / tot if live else 0.5
-        w_bar = beta * w_m + (1.0 - beta) * w_r
-    if live:
-        c_m = D_m / beta if beta > 0.0 else math.inf
-        c_r = D_r / (1.0 - beta) if beta < 1.0 else math.inf
-        a = c_m if c_m < c_r else c_r
-        b = s_d * _supply_k(rho_d, w_bar, v_f, rho_m, gamma) / (1.0 - alpha)
-        c = (s_o * _supply_k(rho_o, w_bar, v_f, rho_m, gamma) / alpha
-             if alpha > 0.0 else math.inf)
-        if b < a:  # keep a <= b, the two smallest candidates so far
-            a, b = b, a
-        if c < b:
-            a, b = (c, a) if c < a else (a, c)
-        q, gap = a, b - a
-    else:
-        q, gap = 0.0, math.inf
-    q_m = beta * q
-    phi = q * w_bar
-    q_d, q_o, phi_d, phi_o = q, 0.0, phi, 0.0
-    if alpha > 0.0:
-        q_o, phi_o = alpha * q, alpha * phi
-        q_d, phi_d = q - q_o, phi - phi_o
-    return (q_m, q - q_m, q_d, q_o,
-            q_m * w_m, (q - q_m) * w_r, phi_d, phi_o, gap)
-
-
-def _pair_junction(up, ramp, down, off, alpha, params):
-    """``_junction`` between unscaled (rho, psi) cells; ramp, off may be None."""
-    p = params
-    legs = []
-    for rho, psi in (up, ramp or (0.0, 0.0)):
-        w = _w_of(rho, psi)
-        legs += [_demand_k(rho, w, p.v_f, p.rho_m, p.gamma), w]
-    return _junction(*legs, down[0], 1.0, (off or down)[0], 1.0, alpha,
-                     ramp is not None, p.v_f, p.rho_m, p.gamma)
-
-
-def flux_one_to_one(up: tuple[float, float], down: tuple[float, float],
-                    params: ModelParams) -> tuple[float, float]:
-    """Flux across a plain cell boundary: q = min(demand, supply).
-
-    ``up`` and ``down`` are (rho, psi) pairs.  Returns (q, phi) where phi is
-    the relative flux q * w_up.
-    """
-    if up[0] <= 0.0:
-        return 0.0, 0.0
-    q, _, _, _, phi, _, _, _, _ = _pair_junction(up, None, down, None, 0.0,
-                                                 params)
-    return q, phi
-
-
-def flux_merge(main_up: tuple[float, float], ramp: tuple[float, float],
-               down: tuple[float, float], params: ModelParams):
-    """Merge junction fluxes with demand-proportional priority.
-
-    Returns ``(q_main, phi_main, q_ramp, phi_ramp, q_down, phi_down)``: the
-    two leg outflows and the combined inflow of the downstream cell.  The
-    receiving supply is evaluated with the demand-weighted mixture of the
-    two incoming characteristics.
-    """
-    q_m, q_r, q_d, _, phi_m, phi_r, phi_d, _, _ = _pair_junction(
-        main_up, ramp, down, None, 0.0, params)
-    return q_m, phi_m, q_r, phi_r, q_d, phi_d
-
-
-def flux_diverge(up: tuple[float, float], down: tuple[float, float],
-                 off: tuple[float, float], alpha: float, params: ModelParams):
-    """Diverge junction fluxes with a constant split fraction alpha.
-
-    Returns ``(q_up, phi_up, q_off, phi_off, q_down, phi_down)``.  Both
-    receiving supplies are evaluated with the upstream characteristic, and
-    the relative flux splits in the same proportion as the flux.
-    """
-    q_u, _, q_d, q_o, phi_u, _, phi_d, phi_o, _ = _pair_junction(
-        up, None, down, off, alpha, params)
-    return q_u, phi_u, q_o, phi_o, q_d, phi_d
+    return float(_supply(rho, w_up, params.v_f, params.rho_m, params.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +340,15 @@ class _BoundaryTable:
     Flows go to slots: one per segment, one per input column (the external
     end of an entry or an exit) and one that discards an absent leg's flow.
 
-    The population path gathers the main and downstream legs of every
-    boundary but the ramp and off legs only where they exist, which is why
+    The flux kernel gathers the main and downstream legs of every boundary
+    but the ramp and off legs only where they exist, which is why
     boundaries are ordered ramp, plain, off.  Each segment has exactly one
     inflow and one outflow, so its net fluxes are read back from the flows
-    by position instead of scattered into slots.
+    by position; only ``compute_fluxes`` scatters the flows into slots.
     """
 
     legs: np.ndarray  # (8, B) value indices: D_m w_m D_r w_r rho_d s_d rho_o s_o
     slots: np.ndarray  # (4, B) slots: main out, ramp out, down in, off in
-    rows: tuple  # per boundary (leg getter, slots, alpha, ramp) in Python types
     n_slots: int
     n_ramp: int  # the first n_ramp boundaries have a ramp leg
     n_off: int  # the last n_off boundaries have an off leg
@@ -461,7 +357,7 @@ class _BoundaryTable:
     divisor: np.ndarray  # receiving candidates' divisors: 1 - alpha, then alpha
     alpha_off: np.ndarray  # the off legs' splits
     # Per state row, the position of its inflow and its outflow in the
-    # flows [q_m q_r phi_m phi_r | q_d q_o phi_d phi_o] of _junction_b.
+    # flows [q_m q_r phi_m phi_r | q_d q_o phi_d phi_o] of _junctions.
     inflow: np.ndarray
     outflow: np.ndarray
 
@@ -507,8 +403,6 @@ def _compile_boundaries(topo: Topology) -> _BoundaryTable:
     slots = np.array([[leg[2] for leg in bd[:4]] for bd in bounds]).T
     alpha = np.array([bd[4] for bd in bounds])
     ramp = [bd[1] != absent for bd in bounds]
-    rows = tuple((itemgetter(*map(int, lg)), tuple(map(int, sl)), float(a), r)
-                 for lg, sl, a, r in zip(legs.T, slots.T, alpha, ramp))
 
     B, n_ramp, n_off = len(bounds), sum(ramp), int(np.count_nonzero(alpha))
     off = slice(B - n_off, B)
@@ -528,7 +422,7 @@ def _compile_boundaries(topo: Topology) -> _BoundaryTable:
         return pos
 
     return _BoundaryTable(
-        legs, slots, rows, DROP + 1, n_ramp, n_off, gather, gather_legs,
+        legs, slots, DROP + 1, n_ramp, n_off, gather, gather_legs,
         np.concatenate((1.0 - alpha, alpha[off])), alpha[off],
         positions(slots[2], slots[3, off], 2 * (B + n_ramp)),
         positions(slots[0], slots[1, :n_ramp], 0))
@@ -631,31 +525,129 @@ def _inputs(u, topo: Topology) -> np.ndarray:
     return u
 
 
-def _slots_one(x, u, topo: Topology, params: ModelParams, ds_scale=None):
-    """Slot fluxes (q_in, q_out, phi_in, phi_out) and the branch-tie margin
-    of one state, in Python floats."""
+# ---------------------------------------------------------------------------
+# The flux kernel
+#
+# One formula evaluates every boundary, for one state or for many.  States
+# lie along the last axis of x: one state (n_x,), a population (M, n_x)
+# of sigma points, ensemble members or finite-difference stencil rows
+# (``_compile_jacobian``), or any other stack.  The boundary table's gather
+# indices pull every leg value into (..., boundaries) arrays, ramp and off
+# legs only where they exist, ``_junctions`` evaluates all boundaries at
+# once, and each segment's net flux is read back from its one inflow and
+# one outflow.  Each array operation pays numpy's per-call overhead
+# whatever the number of states: on the 9-cell network one state takes
+# 60-75 us and 49 states 135 us (one core of a 2-vCPU Xeon, numpy 2.4),
+# so ``generate_truth``, which steps one state at a time, spends about
+# 70 ms on the 500-step reference.  An element's result depends neither
+# on how many states are evaluated with it nor on their values, so a
+# one-state call equals its row of a population bit for bit: the colored
+# stencil relies on that to match the dense one, and ``linearize_model``
+# to take the unperturbed flux from its stencil's call.
+# ---------------------------------------------------------------------------
+
+
+def _junctions(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
+               v_f, rho_m, gamma):
+    """The junction formula, elementwise over boundaries.
+
+    Legs: main (demand D_m, characteristic w_m) on every boundary,
+    (..., B); ramp (D_r, w_r) on the first R boundaries, (..., R);
+    receiving legs (density, scale) as ``rho_in``, ``s_in``: downstream on
+    every boundary, then off on the last O, (..., B + O).  The off leg
+    takes the share ``alpha``.
+
+    The main leg's priority is ``beta = D_m / (D_m + D_r)`` with a ramp
+    leg and 1 without; a merge with no demand at all is dead (beta 0.5,
+    no flow).  Supplies use the mixed characteristic
+    ``w_bar = beta w_m + (1 - beta) w_r``, and the junction flux is
+    ``q = min(min(D_m/beta, D_r/(1-beta)), S_d/(1-alpha), S_o/alpha)``,
+    an absent leg contributing inf.  The main leg sends ``beta q`` and the
+    ramp leg ``q - beta q``; the off leg receives ``alpha q`` and the
+    downstream leg ``q - alpha q``, so each split conserves q exactly in
+    floating point.  Relative flows are those times ``w_m`` and ``w_r`` going
+    out and the same split of ``q w_bar`` coming in.  Without a ramp or an
+    off leg the formula reduces exactly (``D_m / 1``, ``S_d / (1 - 0)``,
+    ``min(x, inf)``) to the main and downstream legs alone, so only the
+    boundaries that have those legs evaluate them.
+
+    Returns the outflows and inflows stacked along the last axis,
+    ``[q_m | q_r | phi_m | phi_r | q_d | q_o | phi_d | phi_o]``, and the
+    (..., B) gap between the two smallest candidates (inf for a dead merge).
+    """
+    R, O, B = t.n_ramp, t.n_off, D_m.shape[-1]
+    D_k = D_m[..., :R]
+    tot = D_k + D_r
+    live = tot > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.where(live, D_k / tot, 0.5)
+        rest = 1.0 - beta
+        c_k = np.minimum(np.where(beta > 0.0, D_k / beta, np.inf),
+                         np.where(beta < 1.0, D_r / rest, np.inf))
+    a, w_bar = D_m.copy(), w_m.copy()
+    a[..., :R] = c_k
+    w_bar[..., :R] = beta * w_m[..., :R] + rest * w_r
+    # Downstream and off supplies in one call: S_d / (1 - alpha), S_o / alpha.
+    w_in = np.concatenate((w_bar, w_bar[..., B - O:]), axis=-1)
+    cand = s_in * _supply(rho_in, w_in, v_f, rho_m, gamma) / t.divisor
+    q, second = np.minimum(a, cand[..., :B]), np.maximum(a, cand[..., :B])
+    lo, hi, c = q[..., B - O:], second[..., B - O:], cand[..., B:]
+    np.maximum(lo, np.minimum(hi, c), out=hi)
+    np.minimum(lo, c, out=lo)
+    gap = second - q
+    q[..., :R] = np.where(live, q[..., :R], 0.0)
+    gap[..., :R] = np.where(live, gap[..., :R], np.inf)
+    q_m = q.copy()
+    q_m[..., :R] *= beta
+    q_r = q[..., :R] - q_m[..., :R]
+    phi = q * w_bar
+    q_o, phi_o = t.alpha_off * q[..., B - O:], t.alpha_off * phi[..., B - O:]
+    flows = np.concatenate((q_m, q_r, q_m * w_m, q_r * w_r,
+                            q[..., :B - O], q[..., B - O:] - q_o, q_o,
+                            phi[..., :B - O], phi[..., B - O:] - phi_o, phi_o),
+                           axis=-1)
+    return flows, gap
+
+
+def _flows(x, u, topo: Topology, params: ModelParams, ds_scale=None):
+    """``_junctions``' flows and gaps at the states ``x`` (..., n_x).
+
+    ``u`` is one input vector shared by all states or an array of
+    per-state inputs.
+    """
     v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
     t = topo._boundaries
-    xs = x.tolist()
-    rho, psi = xs[0::2], xs[1::2]
-    if ds_scale is None:
-        sc = [1.0] * topo.n_segments
-    else:
-        sc = [float(v) for v in ds_scale]
-    W = [_w_of(r, p) for r, p in zip(rho, psi)]
-    D = [s * _demand_k(r, w, v_f, rho_m, gamma) for s, r, w in zip(sc, rho, W)]
-    v = D + W + rho + sc + _inputs(u, topo).tolist() + [0.0, 1.0]
-    q_in, q_out = [0.0] * t.n_slots, [0.0] * t.n_slots
-    f_in, f_out = [0.0] * t.n_slots, [0.0] * t.n_slots
-    margin = math.inf
-    for legs, (o_m, o_r, i_d, i_o), alpha, ramp in t.rows:
-        (q_out[o_m], q_out[o_r], q_in[i_d], q_in[i_o],
-         f_out[o_m], f_out[o_r], f_in[i_d], f_in[i_o], gap) = _junction(
-            *legs(v), alpha, ramp, v_f, rho_m, gamma)
-        if gap < margin:
-            margin = gap
-    return (np.array(q_in), np.array(q_out), np.array(f_in), np.array(f_out),
-            margin)
+    nseg = topo.n_segments
+    sc = 1.0 if ds_scale is None else np.asarray(ds_scale, dtype=float)
+    rho, psi = x[..., 0::2], x[..., 1::2]
+    V = np.empty(x.shape[:-1] + (4 * nseg + topo.n_u + 2,))
+    W = np.divide(psi, np.maximum(rho, EPS_RHO), out=V[..., nseg:2 * nseg])
+    V[..., :nseg] = sc * _demand(rho, W, v_f, rho_m, gamma)
+    V[..., 2 * nseg:3 * nseg] = rho
+    V[..., 3 * nseg:4 * nseg] = sc
+    V[..., 4 * nseg:-2] = _inputs(u, topo)
+    V[..., -2:] = (0.0, 1.0)
+    V = V.take(t.gather, axis=-1)
+    return _junctions(*(V[..., sl] for sl in t.gather_legs), t,
+                      v_f, rho_m, gamma)
+
+
+def _net_flux(x, u, topo: Topology, params: ModelParams, ds_scale=None):
+    """Stacked net fluxes, in the shape of ``x``, and the branch-tie
+    margins (..., boundaries) of every state."""
+    x = np.asarray(x, dtype=float)
+    t = topo._boundaries
+    flows, gap = _flows(x, u, topo, params, ds_scale)
+    return flows.take(t.inflow, axis=-1) - flows.take(t.outflow, axis=-1), gap
+
+
+def nonlinear_f(x, u, topo: Topology, params: ModelParams, ds_scale=None) -> np.ndarray:
+    """Stacked net fluxes [q_in - q_out, phi_in - phi_out] per segment.
+
+    An (M, n_x) population gives one row per state; ``u`` is then one
+    input vector for all rows or an (M, n_u) array of per-row inputs.
+    """
+    return _net_flux(x, u, topo, params, ds_scale)[0]
 
 
 @dataclass
@@ -688,8 +680,16 @@ def compute_fluxes(x, u, topo: Topology, params: ModelParams,
     segments (per global segment id - 1), which is how a local speed
     reduction is imposed on the truth model.
     """
-    q_in, q_out, phi_in, phi_out, margin = _slots_one(
-        np.asarray(x, dtype=float), u, topo, params, ds_scale)
+    flows, gap = _flows(np.asarray(x, dtype=float), u, topo, params, ds_scale)
+    t = topo._boundaries
+    B, R, O = t.slots.shape[1], t.n_ramp, t.n_off
+    # The flows' legs in order, sending then receiving, and their slots.
+    out = np.concatenate((t.slots[0], t.slots[1, :R]))
+    into = np.concatenate((t.slots[2], t.slots[3, B - O:]))
+    k, m = out.size, into.size
+    q_out, phi_out, q_in, phi_in = np.zeros((4, t.n_slots))
+    q_out[out], phi_out[out] = flows[:k], flows[k:2 * k]
+    q_in[into], phi_in[into] = flows[2 * k:2 * k + m], flows[2 * k + m:]
     n = topo.n_segments
     ext_in, ext_out = q_in[n:], q_out[n:]  # by input column
     k_off = 3 + 2 * topo.n_onramps
@@ -697,35 +697,63 @@ def compute_fluxes(x, u, topo: Topology, params: ModelParams,
         q_in=q_in[:n], q_out=q_out[:n], phi_in=phi_in[:n], phi_out=phi_out[:n],
         entry_q=float(ext_out[0]), exit_q=float(ext_in[2]),
         onramp_entry_q=ext_out[3:k_off:2], offramp_exit_q=ext_in[k_off:-1],
-        min_margin=margin,
+        min_margin=float(gap.min()),
     )
 
 
-def _net_flux(x, u, topo: Topology, params: ModelParams, ds_scale=None):
-    """Stacked net fluxes and branch-tie margins.
+# ---------------------------------------------------------------------------
+# Junction fluxes
+# ---------------------------------------------------------------------------
 
-    One state (1-D x) is evaluated in Python floats and has one margin, the
-    smallest over its boundaries.  A population (2-D x) is evaluated in
-    numpy and has an (M, boundaries) array of margins.
+
+def _one_junction(up, down, params: ModelParams, ramp=None, off=None,
+                  alpha=0.0) -> FluxSet:
+    """``compute_fluxes`` of two (rho, psi) cells, ``up`` and ``down``,
+    whose shared boundary is the junction: segment 3 is the merging ramp
+    or the off leg.  The inputs are zero; they do not reach that boundary."""
+    topo = Topology(2, on_ramps=(OnRamp(2),) if ramp is not None else (),
+                    off_ramps=(OffRamp(1, alpha),) if off is not None else ())
+    legs = [leg for leg in (ramp, off) if leg is not None]
+    x = np.array([up, down, *legs], dtype=float).ravel()
+    return compute_fluxes(x, np.zeros(topo.n_u), topo, params)
+
+
+def flux_one_to_one(up: tuple[float, float], down: tuple[float, float],
+                    params: ModelParams) -> tuple[float, float]:
+    """Flux across a plain cell boundary: q = min(demand, supply).
+
+    ``up`` and ``down`` are (rho, psi) pairs.  Returns (q, phi) where phi is
+    the relative flux q * w_up.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        return _net_flux_pop(x, u, topo, params, ds_scale)
-    q_in, q_out, phi_in, phi_out, margin = _slots_one(x, u, topo, params, ds_scale)
-    n = topo.n_segments
-    f = np.empty(x.shape)
-    f[0::2] = q_in[:n] - q_out[:n]
-    f[1::2] = phi_in[:n] - phi_out[:n]
-    return f, margin
+    fl = _one_junction(up, down, params)
+    return float(fl.q_out[0]), float(fl.phi_out[0])
 
 
-def nonlinear_f(x, u, topo: Topology, params: ModelParams, ds_scale=None) -> np.ndarray:
-    """Stacked net fluxes [q_in - q_out, phi_in - phi_out] per segment.
+def flux_merge(main_up: tuple[float, float], ramp: tuple[float, float],
+               down: tuple[float, float], params: ModelParams):
+    """Merge junction fluxes with demand-proportional priority.
 
-    An (M, n_x) population gives one row per state; ``u`` is then one
-    input vector for all rows or an (M, n_u) array of per-row inputs.
+    Returns ``(q_main, phi_main, q_ramp, phi_ramp, q_down, phi_down)``: the
+    two leg outflows and the combined inflow of the downstream cell.  The
+    receiving supply is evaluated with the demand-weighted mixture of the
+    two incoming characteristics.
     """
-    return _net_flux(x, u, topo, params, ds_scale)[0]
+    fl = _one_junction(main_up, down, params, ramp=ramp)
+    return tuple(map(float, (fl.q_out[0], fl.phi_out[0], fl.q_out[2],
+                             fl.phi_out[2], fl.q_in[1], fl.phi_in[1])))
+
+
+def flux_diverge(up: tuple[float, float], down: tuple[float, float],
+                 off: tuple[float, float], alpha: float, params: ModelParams):
+    """Diverge junction fluxes with a constant split fraction alpha.
+
+    Returns ``(q_up, phi_up, q_off, phi_off, q_down, phi_down)``.  Both
+    receiving supplies are evaluated with the upstream characteristic, and
+    the relative flux splits in the same proportion as the flux.
+    """
+    fl = _one_junction(up, down, params, off=off, alpha=alpha)
+    return tuple(map(float, (fl.q_out[0], fl.phi_out[0], fl.q_in[2],
+                             fl.phi_in[2], fl.q_in[1], fl.phi_in[1])))
 
 
 def build_update_matrices(topo: Topology, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -832,143 +860,6 @@ def pack_inputs(topo: Topology, d_in: float, w_in: float, rho_out: float,
         u.extend([d, w])
     u.extend(offramp_rho_out)
     return np.asarray(u, dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluation
-#
-# Sigma-point and ensemble filters propagate dozens of states per time step,
-# and the finite-difference stencils evaluate two perturbed copies of one
-# state per column group (``_compile_jacobian``).  A population (2-D input)
-# is evaluated here: the boundary table's gather indices pull every leg
-# value into (M, boundaries) arrays, ramp and off legs only where they
-# exist, ``_junction_b`` evaluates all boundaries at once, and each
-# segment's net flux is read back from its one inflow and one outflow.  The
-# same formula exists once more in Python floats (``_junction``) for one
-# state (1-D input).  The population path pays numpy's per-call overhead on
-# every operation whatever M is: on the 9-cell network one evaluation at
-# M = 1 takes 0.09-0.17 ms against 0.04-0.08 ms in floats (one core of a
-# 2-vCPU Xeon, numpy 2.4), and ``generate_truth`` steps one state at a time.
-# numpy's SIMD ``power`` also differs from Python's ``**`` in the last bit
-# on some inputs; truth trajectories keep the float bits.  Within the
-# population path an element's result must not depend on M or on the other
-# elements evaluated with it: the colored stencil relies on that to match
-# the dense one bit for bit.
-# ---------------------------------------------------------------------------
-
-
-def _p_b(rho, v_f, rho_m, gamma):
-    # No rho > 0 guard: wherever rho <= 0 reaches here the caller masks the
-    # result, and at rho = 0 the power is exactly zero anyway.
-    return v_f * (np.maximum(rho, 0.0) / rho_m) ** gamma
-
-
-def _sigma_b(w, v_f, rho_m, gamma):
-    return rho_m * (np.maximum(w, 0.0) / (v_f * (1.0 + gamma))) ** (1.0 / gamma)
-
-
-# Both branches of demand and of supply are ``r (w - p(r))``, at the cell's
-# own density or at the critical one; picking r first evaluates p once.
-
-
-def _demand_b(rho, w, v_f, rho_m, gamma):
-    s = _sigma_b(w, v_f, rho_m, gamma)
-    r = np.where(rho <= s, rho, s)
-    val = r * (w - _p_b(r, v_f, rho_m, gamma))
-    val = np.where((rho <= 0.0) | (w <= 0.0), 0.0, val)
-    return np.maximum(val, 0.0)
-
-
-def _supply_b(rho, w_up, v_f, rho_m, gamma):
-    s = _sigma_b(w_up, v_f, rho_m, gamma)
-    r = np.where(rho <= s, s, rho)
-    val = r * (w_up - _p_b(r, v_f, rho_m, gamma))
-    val = np.where(w_up <= 0.0, 0.0, val)
-    return np.maximum(val, 0.0)
-
-
-def _junction_b(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
-                v_f, rho_m, gamma):
-    """The junction formula, elementwise over boundaries.
-
-    Legs: main (demand D_m, characteristic w_m) on every boundary, (M, B);
-    ramp (D_r, w_r) on the first R boundaries, (M, R); receiving legs
-    (density, scale) as ``rho_in``, ``s_in``: downstream on every boundary,
-    then off on the last O, (M, B + O).  The off leg takes the share
-    ``alpha``.
-
-    The main leg's priority is ``beta = D_m / (D_m + D_r)`` with a ramp
-    leg and 1 without; a merge with no demand at all is dead (beta 0.5,
-    no flow).  Supplies use the mixed characteristic
-    ``w_bar = beta w_m + (1 - beta) w_r``, and the junction flux is
-    ``q = min(min(D_m/beta, D_r/(1-beta)), S_d/(1-alpha), S_o/alpha)``,
-    an absent leg contributing inf.  The main leg sends ``beta q`` and the
-    ramp leg ``q - beta q``; the off leg receives ``alpha q`` and the
-    downstream leg ``q - alpha q``, so each split conserves q exactly in
-    floating point.  Relative flows are those times ``w_m`` and ``w_r`` going
-    out and the same split of ``q w_bar`` coming in.  Without a ramp or an
-    off leg the formula reduces exactly (``D_m / 1``, ``S_d / (1 - 0)``,
-    ``min(x, inf)``) to the main and downstream legs alone, so only the
-    boundaries that have those legs evaluate them.
-
-    Returns the outflows and inflows stacked along axis 1,
-    ``[q_m | q_r | phi_m | phi_r | q_d | q_o | phi_d | phi_o]``, and the
-    (M, B) gap between the two smallest candidates (inf for a dead merge).
-    """
-    R, O, B = t.n_ramp, t.n_off, D_m.shape[1]
-    D_k = D_m[:, :R]
-    tot = D_k + D_r
-    live = tot > 0.0
-    beta = np.divide(D_k, tot, out=np.full_like(tot, 0.5), where=live)
-    rest = 1.0 - beta
-    c_m = np.divide(D_k, beta, out=np.full_like(tot, np.inf), where=beta > 0.0)
-    c_r = np.divide(D_r, rest, out=np.full_like(tot, np.inf), where=beta < 1.0)
-    a = np.concatenate((np.minimum(c_m, c_r), D_m[:, R:]), axis=1)
-    w_bar = np.concatenate((beta * w_m[:, :R] + rest * w_r, w_m[:, R:]), axis=1)
-    # Downstream and off supplies in one call: S_d / (1 - alpha), S_o / alpha.
-    w_in = np.concatenate((w_bar, w_bar[:, B - O:]), axis=1)
-    cand = s_in * _supply_b(rho_in, w_in, v_f, rho_m, gamma) / t.divisor
-    q, second = np.minimum(a, cand[:, :B]), np.maximum(a, cand[:, :B])
-    lo, hi, c = q[:, B - O:], second[:, B - O:], cand[:, B:]
-    np.maximum(lo, np.minimum(hi, c), out=hi)
-    np.minimum(lo, c, out=lo)
-    gap = second - q
-    q[:, :R] = np.where(live, q[:, :R], 0.0)
-    gap[:, :R] = np.where(live, gap[:, :R], np.inf)
-    q_m = np.concatenate((beta * q[:, :R], q[:, R:]), axis=1)
-    q_r = q[:, :R] - q_m[:, :R]
-    phi = q * w_bar
-    q_o, phi_o = t.alpha_off * q[:, B - O:], t.alpha_off * phi[:, B - O:]
-    flows = np.concatenate((q_m, q_r, q_m * w_m, q_r * w_r,
-                            q[:, :B - O], q[:, B - O:] - q_o, q_o,
-                            phi[:, :B - O], phi[:, B - O:] - phi_o, phi_o), axis=1)
-    return flows, gap
-
-
-def _net_flux_pop(X, u, topo: Topology, params: ModelParams, ds_scale=None):
-    """Net fluxes (M, n_x) and branch-tie margins (M, boundaries) of a
-    population.
-
-    ``u`` is one input vector shared by all rows or an (M, n_u) array of
-    per-row inputs.
-    """
-    v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
-    t = topo._boundaries
-    nseg = topo.n_segments
-    sc = 1.0 if ds_scale is None else np.asarray(ds_scale, dtype=float)
-    rho, psi = X[:, 0::2], X[:, 1::2]
-    V = np.empty((X.shape[0], 4 * nseg + topo.n_u + 2))
-    W = np.divide(psi, np.maximum(rho, EPS_RHO), out=V[:, nseg:2 * nseg])
-    V[:, :nseg] = sc * _demand_b(rho, W, v_f, rho_m, gamma)
-    V[:, 2 * nseg:3 * nseg] = rho
-    V[:, 3 * nseg:4 * nseg] = sc
-    V[:, 4 * nseg:-2] = _inputs(u, topo)
-    V[:, -2:] = (0.0, 1.0)
-    V = V.take(t.gather, axis=1)
-    flows, gap = _junction_b(*(V[:, sl] for sl in t.gather_legs), t,
-                             v_f, rho_m, gamma)
-    f = flows.take(t.inflow, axis=1) - flows.take(t.outflow, axis=1)
-    return f, gap
 
 
 def step_batch(X, u, topo: Topology, params: ModelParams,

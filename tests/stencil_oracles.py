@@ -16,8 +16,8 @@ def columnwise_jacobians(x0, u0, topo, params, ds_scale=None):
     evaluations per column.
 
     A tie flag is set when any stencil state has two flux candidates closer
-    than ``TIE_TOL`` at some boundary.  The margins come from the population
-    evaluator, the one the stencil uses; the public API does not expose them.
+    than ``TIE_TOL`` at some boundary.  The margins come from the flux
+    kernel the stencil uses; the public API does not expose them.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)

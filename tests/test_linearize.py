@@ -132,6 +132,31 @@ def test_measurement_jacobian_density_floor(topo, params):
     assert floored
 
 
+def test_measurement_jacobian_matches_per_segment_loop(topo, params):
+    """The vectorized Jacobian against one segment at a time in Python
+    floats, floored cells included.  numpy's power and Python's ** may
+    differ in the last bit, so the tolerance is a few units of it."""
+    rng = np.random.default_rng(26)
+    X = random_states(rng, topo, 20)
+    X[0, 0::2] = 0.0
+    X[1, 2], X[2, 4], X[3, 6] = EPS_RHO, 0.5 * EPS_RHO, 2.0 * EPS_RHO
+    v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
+    for x0 in X:
+        ref = np.zeros((x0.size, x0.size))
+        for r in range(0, x0.size, 2):
+            rho, psi = float(x0[r]), float(x0[r + 1])
+            ref[r, r] = 1.0
+            if rho > EPS_RHO:
+                dp = v_f * gamma * rho ** (gamma - 1.0) / rho_m ** gamma
+                ref[r + 1, r] = -psi / rho ** 2 - dp
+                ref[r + 1, r + 1] = 1.0 / rho
+            else:
+                ref[r + 1, r + 1] = 1.0 / EPS_RHO
+        H, floored = measurement_jacobian(x0, params)
+        np.testing.assert_allclose(H, ref, rtol=8 * np.finfo(float).eps, atol=0)
+        assert floored == bool(np.any(x0[0::2] <= EPS_RHO))
+
+
 def test_jacobians_match_columnwise_reference(topo, params):
     """The stencil evaluated as one batch equals per-column evaluation."""
     rng = np.random.default_rng(25)
