@@ -273,6 +273,11 @@ class KalmanRunner:
                  params: ModelParams, rng: np.random.Generator | None = None):
         if kind not in ("ekf", "ukf", "enkf"):
             raise EstimatorError(f"unknown filter kind {kind!r}")
+        if kind == "ukf" and topo.n_x + cfg.kappa <= 0:
+            # The unscented spread n + lambda is alpha^2 (n_x + kappa).
+            raise EstimatorError(
+                f"the UKF needs kappa > -n_x, got n_x = {topo.n_x} and "
+                f"kappa = {cfg.kappa}")
         self.kind = kind
         self.cfg = cfg
         self.topo = topo

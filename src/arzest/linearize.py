@@ -16,11 +16,14 @@ evaluates 18 perturbed states where a dense stencil evaluates
 2 (n_x + n_u): 62 on the 9-cell network and 154 on the 30-cell one.  The
 result equals the dense stencil's bit for bit, branch-tie flag included.
 The same call carries the unperturbed state, whose net flux is the
-model's ``f0``.
+model's ``f0``, and on request one more state to step with the same input,
+so that a caller that also needs a one-step prediction pays for one flux
+call instead of two.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .model import (
     ModelParams,
     Topology,
     _net_flux,
+    _update,
     build_update_matrices,
     measure_h,
 )
@@ -56,7 +60,9 @@ TIE_TOL = 1e-6
 @dataclass
 class LinearizedModel:
     """Affine update model, exact at (x0, u0).  ``f0`` is the net flux
-    ``nonlinear_f(x0, u0)`` the model was built from."""
+    ``nonlinear_f(x0, u0)`` the model was built from; ``x_next`` is
+    ``step(step_from, u0)`` when ``linearize_model`` was given a
+    ``step_from`` state, else None."""
 
     A_tilde: np.ndarray
     B: np.ndarray
@@ -65,6 +71,7 @@ class LinearizedModel:
     u0: np.ndarray
     branch_tie: bool = False
     f0: np.ndarray | None = None
+    x_next: np.ndarray | None = None
 
 
 @dataclass
@@ -78,16 +85,18 @@ class LinearizedMeasurement:
 
 
 def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
-              blocks: str = "xu"):
+              blocks: str = "xu", extra=None):
     """Central-difference Jacobians of f w.r.t. the state ("x") and/or the
     input ("u"), in one population call.
 
     Each group of the topology's column coloring is perturbed at once and
     ``J[i, j] = dF_group(j)[i] / (2 h_j)`` is read off on the sparsity
     pattern; every entry equals the column-by-column stencil's bit for bit.
-    Returns ``([J per block], tie, f0)``: the flag marks a stencil that met
-    a flux branch tie, and ``f0`` is the net flux at (x0, u0), from the
-    unperturbed state the call carries as its last row.
+    Returns ``([J per block], tie, F)``: the flag marks a stencil that met
+    a flux branch tie, and ``F[0]`` is the net flux at (x0, u0), from the
+    unperturbed state the call carries after the stencil rows.  With an
+    ``extra`` state, ``F[1]`` is its net flux at u0, from one more row that
+    the tie flag does not read.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -95,10 +104,12 @@ def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
     n = x0.size
     base = plan.base[blocks]
     rows = sum(2 * len(plan.groups[key].groups) for key in blocks)
-    # Each group's + rows and - rows, then the unperturbed state.
-    X = np.empty((rows + 1, n))
+    # Each group's + rows and - rows, the unperturbed state, then the extra.
+    X = np.empty((rows + 1 + (extra is not None), n))
     U = np.empty((len(X), u0.size))
     X[:], U[:] = x0, u0
+    if extra is not None:
+        X[-1] = extra
     parts, i = [], 0
     for key in blocks:
         c = plan.groups[key]
@@ -121,7 +132,7 @@ def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
         Jt[c.entry] = ((Fk.take(c.plus) - Fk.take(c.minus))
                        / (2.0 * h).take(c.col))
         Js.append(Jt.reshape(h.size, n).T)
-    return Js, bool(margin < TIE_TOL), F[rows]
+    return Js, bool(margin < TIE_TOL), F[rows:]
 
 
 def jacobian_fx(x0, u0, topo: Topology, params: ModelParams,
@@ -142,22 +153,39 @@ def jacobian_fu(x0, u0, topo: Topology, params: ModelParams,
     return J, tie
 
 
+@lru_cache(maxsize=32)
+def _relaxation(topo: Topology, params: ModelParams) -> np.ndarray:
+    """The linear part A of the update, built once per network and
+    read-only."""
+    A = build_update_matrices(topo, params)[0]
+    A.flags.writeable = False
+    return A
+
+
 def linearize_model(x0, u0, topo: Topology, params: ModelParams,
-                    ds_scale=None) -> LinearizedModel:
+                    ds_scale=None, *, step_from=None) -> LinearizedModel:
     """Affine update model about (x0, u0).
 
     ``c1`` absorbs the linearization residue so that
     ``A_tilde x0 + B u0 + c1`` reproduces the nonlinear update exactly.
+    Given a state ``step_from``, the stencil's flux call carries it as one
+    more row, and ``x_next`` is ``step(step_from, u0, ds_scale=ds_scale)``
+    bit for bit; the rest of the model is the same as without it.
     """
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    A, G = build_update_matrices(topo, params)
-    g = params.T / params.l  # G is g * I
-    (Jx, Ju), tie, f0 = _stencils(x0, u0, topo, params, ds_scale)
-    A_tilde = A + g * Jx
+    g = params.T / params.l  # the input gain G is g * I
+    (Jx, Ju), tie, F = _stencils(x0, u0, topo, params, ds_scale, "xu",
+                                 step_from)
+    f0 = F[0]
+    A_tilde = _relaxation(topo, params) + g * Jx
     B = g * Ju
     c1 = g * (f0 - Jx @ x0 - Ju @ u0)
-    return LinearizedModel(A_tilde, B, c1, x0, u0, tie, f0)
+    x_next = None
+    if step_from is not None:
+        x_next = _update(np.asarray(step_from, dtype=float), F[1], topo,
+                         params)
+    return LinearizedModel(A_tilde, B, c1, x0, u0, tie, f0, x_next)
 
 
 def measurement_jacobian(x0, params: ModelParams) -> tuple[np.ndarray, bool]:

@@ -12,6 +12,12 @@ shrinks at startup: until step N the window start stays pinned at time 0
 and the arrival state is the initial guess.  All blocks are assembled in
 the scaled space (relative-flow rows divided by v_f).
 
+Once the window start s is past 0, the arrival prior is
+``x_bar = step(x_hat[s-1], u[s])`` (Rao, Rawlings & Mayne 2003).  Both of
+its arguments are known when entry s is made, N steps before it starts the
+window, so the entry computes it then, as one more row of the flux call
+that builds its linearization, and keeps it as ``HorizonEntry.arrival``.
+
 The window Hessian is block tridiagonal over the horizon (Rao, Wright &
 Rawlings 1998).  Each buffer entry computes its Gram products once, when it
 enters the buffer, and every window that holds it only scales and adds them
@@ -98,7 +104,9 @@ class MheConfig:
 class HorizonEntry:
     """Frozen per-step data: the measurement at ``time`` and the affine
     model of the transition into ``time`` (all in scaled space, except
-    ``u`` which keeps its natural units for the arrival prediction).
+    ``u``), and ``arrival``, the prior for the state at ``time`` once the
+    entry starts the window: ``step(x_hat[time-1], u)`` in natural units
+    (None unless given).
 
     The window terms of the entry are computed once, on creation: the
     measurement products ``CtC = C_s' C_s``, ``Cty = C_s' (y - c2)`` and
@@ -116,6 +124,7 @@ class HorizonEntry:
     B_s: np.ndarray
     c1_s: np.ndarray
     u: np.ndarray
+    arrival: np.ndarray | None = None
     CtC: np.ndarray = field(init=False, repr=False)
     Cty: np.ndarray = field(init=False, repr=False)
     yy: float = field(init=False, repr=False)
@@ -131,7 +140,7 @@ class HorizonEntry:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-        for name in ("y", "C_s", "c2", "A_s", "B_s", "c1_s", "u"):
+        for name in ("y", "C_s", "c2", "A_s", "B_s", "c1_s", "u", "arrival"):
             put(name, getattr(self, name))
         C, A = self.C_s, self.A_s
         resid = self.y - self.c2
@@ -163,12 +172,6 @@ class HorizonBuffer:
 
     def window_start(self) -> int:
         return max(0, self.latest_time - self.horizon)
-
-    def entry_at(self, time: int) -> HorizonEntry:
-        for e in self.entries:
-            if e.time == time:
-                return e
-        raise KeyError(f"no buffer entry for time {time}")
 
 
 class QPProblem:
@@ -256,7 +259,13 @@ def operating_point(prev_window: list[np.ndarray]) -> np.ndarray:
 
 
 def predict_arrival(x_prev, u_prev, topo: Topology, params: ModelParams) -> np.ndarray:
-    """Arrival state: one nonlinear step from the estimate before the window."""
+    """Arrival state: one nonlinear step from the estimate before the window.
+
+    ``MheSession`` gets the same state from the flux call of its
+    linearization, unless it was given a ``model_linearizer`` or
+    ``predictor`` hook; then it calls the predictor, this function by
+    default.
+    """
     return step(x_prev, u_prev, topo, params)
 
 
@@ -476,6 +485,13 @@ class MheSession:
     The arrival weight ``mu`` and the model weight ``w2`` must be positive,
     so that the window Hessian is positive definite: the arrival term pins
     the first block and each model residual the next.
+
+    Each step makes the entry for its time t and, with it, the arrival
+    prior that entry will carry once it starts the window.  By default the
+    prior comes from one more row of the linearization's flux call.  With
+    a ``model_linearizer`` or ``predictor`` hook, the step calls
+    ``predictor(x_hat[t-1], u)`` instead, right after linearizing; a hook
+    that is not given keeps its default.
     """
 
     def __init__(self, x0, cfg: MheConfig, topo: Topology, params: ModelParams,
@@ -495,21 +511,32 @@ class MheSession:
         self._hi_s = hi / self._d
         self.buffer = HorizonBuffer(cfg.horizon)
         self.t = 0
-        self._estimates: dict[int, np.ndarray] = {0: self.x0.copy()}
+        self._x_last = self.x0.copy()
         self._prev_window: list[np.ndarray] = [self.x0.copy()]
         self.failed_solves = 0
         self.last_info: SolveInfo | None = None
 
-        self._linearize = model_linearizer or (
-            lambda x, u: linearize_model(x, u, topo, params))
         self._meas = meas_linearizer or (
             lambda x, C: linearize_measurement(x, C, params))
-        self._predict = predictor or (
-            lambda x, u: predict_arrival(x, u, topo, params))
+        # (x_o, u, x_prev) -> (model linearized at (x_o, u), step(x_prev, u))
+        if model_linearizer is None and predictor is None:
+            def transition(x_o, u, x_prev):
+                lin = linearize_model(x_o, u, topo, params, step_from=x_prev)
+                return lin, lin.x_next
+        else:
+            linearize = model_linearizer or (
+                lambda x, u: linearize_model(x, u, topo, params))
+            predict = predictor or (
+                lambda x, u: predict_arrival(x, u, topo, params))
+
+            def transition(x_o, u, x_prev):
+                return linearize(x_o, u), predict(x_prev, u)
+        self._transition = transition
 
     def _make_entry(self, time: int, u, y, C_sel) -> HorizonEntry:
         x_o = operating_point(self._prev_window)
-        lin = self._linearize(x_o, u)
+        u = np.asarray(u, dtype=float).copy()
+        lin, arrival = self._transition(x_o, u, self._x_last)
         lm = self._meas(x_o, np.asarray(C_sel, dtype=float))
         d = self._d
         A_s = lin.A_tilde * (d[None, :] / d[:, None])
@@ -520,20 +547,16 @@ class MheSession:
             time=time,
             y=np.asarray(y, dtype=float).copy(),
             C_s=C_s, c2=lm.c2,
-            A_s=A_s, B_s=B_s, c1_s=c1_s,
-            u=np.asarray(u, dtype=float).copy(),
+            A_s=A_s, B_s=B_s, c1_s=c1_s, u=u, arrival=arrival,
         )
 
     def step(self, u, y, C_sel) -> np.ndarray:
         self.t += 1
-        t = self.t
-        self.buffer.push(self._make_entry(t, u, y, C_sel))
-        start = self.buffer.window_start()
-        if start == 0:
+        self.buffer.push(self._make_entry(self.t, u, y, C_sel))
+        if self.buffer.window_start() == 0:
             x_bar = self.x0
         else:
-            x_bar = self._predict(self._estimates[start - 1],
-                                  self.buffer.entry_at(start).u)
+            x_bar = self.buffer.entries[0].arrival
         qp = assemble_qp(self.buffer, x_bar / self._d, self.cfg,
                          self._lo_s, self._hi_s)
         z, info = solve_box_qp(qp, self.cfg.tol_kkt, self.cfg.max_iter)
@@ -545,7 +568,5 @@ class MheSession:
         blocks = np.clip(blocks, self._lo_nat[None, :], self._hi_nat[None, :])
         self._prev_window = [blocks[b].copy() for b in range(qp.n_blocks)]
         x_hat = blocks[-1].copy()
-        self._estimates[t] = x_hat
-        for old in [k for k in self._estimates if 0 < k < t - self.cfg.horizon]:
-            del self._estimates[old]
+        self._x_last = x_hat
         return x_hat

@@ -352,9 +352,13 @@ def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
     lo, hi = state_bounds(topo, params)
     within = True
     times = []
+    selectors = {}  # one read-only selector per sensor layout
     for k in range(1, sc.t_f + 1):
-        measured = positions_at(sc.schedule, topo, k - 1)
-        C = build_observation(measured, topo)
+        measured = tuple(positions_at(sc.schedule, topo, k - 1))
+        C = selectors.get(measured)
+        if C is None:
+            C = selectors[measured] = build_observation(measured, topo)
+            C.flags.writeable = False
         y = synthesize_measurements(truth.obs[k], C, sc.noise_std, rng_noise)
         t0 = _time.perf_counter()
         x_hat = estimator.step(sc.inputs[k - 1], y, C)

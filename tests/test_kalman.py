@@ -16,6 +16,7 @@ from arzest.kalman import (
 )
 from arzest.linearize import linearize_measurement, linearize_model
 from arzest.model import (
+    Topology,
     equilibrium_state,
     measure_h,
     pack_inputs,
@@ -57,6 +58,28 @@ def test_runner_rejects_unknown_kind(topo, params):
     with pytest.raises(EstimatorError):
         KalmanRunner("ikf", equilibrium_state(topo, params, 20.0),
                      EstimatorConfig(), topo, params)
+
+
+@pytest.mark.parametrize("n_mainline", [1, 2])
+def test_ukf_refuses_a_spread_it_cannot_draw_at_construction(params,
+                                                             n_mainline):
+    """With the default kappa = -4, n_x + kappa <= 0 on 1- and 2-cell
+    networks, where the unscented spread alpha^2 (n_x + kappa) is not
+    positive.  The runner says so when it is made, not at its first step;
+    the other filters and a 3-cell UKF are made as before."""
+    topo = Topology(n_mainline)
+    x0 = equilibrium_state(topo, params, 20.0)
+    with pytest.raises(EstimatorError) as err:
+        KalmanRunner("ukf", x0, EstimatorConfig(), topo, params)
+    msg = str(err.value)
+    assert f"n_x = {topo.n_x}" in msg
+    assert "kappa = -4.0" in msg
+    assert "kappa > -n_x" in msg
+    for kind in ("ekf", "enkf"):
+        KalmanRunner(kind, x0, EstimatorConfig(), topo, params)
+    topo3 = Topology(3)
+    KalmanRunner("ukf", equilibrium_state(topo3, params, 20.0),
+                 EstimatorConfig(), topo3, params)
 
 
 def test_project_to_bounds(topo, params):

@@ -45,7 +45,11 @@ from arzest.scenarios import (
     generate_truth,
     run_estimation,
 )
-from arzest.sensing import build_observation
+from arzest.sensing import (
+    build_observation,
+    positions_at,
+    synthesize_measurements,
+)
 
 V_F = 102.0
 
@@ -553,3 +557,38 @@ def test_exact_recovery_with_affine_hooks(topo, params):
         x_hat = sess.step(u, y, C_sel)
         worst = max(worst, float(np.max(np.abs(x_hat - x))))
     assert worst < 1e-6
+
+
+@pytest.fixture(scope="module")
+def reference_truth():
+    sc = default_scenario(500, 1.0)
+    return sc, generate_truth(sc)
+
+
+@pytest.mark.parametrize("noise", [1.0, 40.0])
+def test_fused_arrival_matches_the_predictor_hook(reference_truth, noise):
+    """The arrival a default session takes from its linearization's flux
+    call is the one ``predict_arrival`` gives: over 200 reference steps with
+    seed 3's noise stream (that of ``run_estimation``), a session given
+    ``predict_arrival`` as its hook returns the same bits and flags the same
+    unconverged solves, among them step 156's at noise 40."""
+    sc, truth = reference_truth
+    topo, params = sc.topo, sc.params
+    fused = MheSession(truth.traj[0], MheConfig(), topo, params)
+    hooked = MheSession(
+        truth.traj[0], MheConfig(), topo, params,
+        predictor=lambda x, u: predict_arrival(x, u, topo, params))
+    noise_ss, _ = np.random.SeedSequence(3).spawn(2)
+    rng = np.random.default_rng(noise_ss)
+    unconverged = []
+    for k in range(1, 201):
+        C = build_observation(positions_at(sc.schedule, topo, k - 1), topo)
+        y = synthesize_measurements(truth.obs[k], C, noise, rng)
+        a = fused.step(sc.inputs[k - 1], y, C)
+        b = hooked.step(sc.inputs[k - 1], y, C)
+        assert a.tobytes() == b.tobytes(), k
+        assert fused.last_info.converged == hooked.last_info.converged
+        if not fused.last_info.converged:
+            unconverged.append(k)
+    assert fused.failed_solves == hooked.failed_solves == len(unconverged)
+    assert unconverged == ([156] if noise == 40.0 else [])

@@ -194,6 +194,41 @@ def test_run_estimation_measures_through_one_path(monkeypatch):
         assert y.tobytes() == want.tobytes()
 
 
+def test_run_estimation_builds_each_layout_once(monkeypatch):
+    """A run builds one selector per sensor layout it meets, read-only, and
+    hands every step the selector of its layout."""
+    sc = default_scenario(t_f=40, estimators=(EstimatorSpec("ekf"),))
+    truth = generate_truth(sc)
+    built, seen = [], []
+
+    def counting(measured, topo):
+        built.append(tuple(measured))
+        return build_observation(measured, topo)
+
+    def make(*args):
+        est = make_real(*args)
+        step_real = est.step
+
+        def spy(u, y, C):
+            seen.append(C)
+            return step_real(u, y, C)
+
+        est.step = spy
+        return est
+
+    make_real = scenarios.make_estimator
+    monkeypatch.setattr(scenarios, "build_observation", counting)
+    monkeypatch.setattr(scenarios, "make_estimator", make)
+    run_estimation(sc, truth, sc.estimators[0], seed=0)
+    layouts = [tuple(positions_at(sc.schedule, sc.topo, k))
+               for k in range(sc.t_f)]
+    assert built == list(dict.fromkeys(layouts))
+    assert len(built) == 3  # the connected vehicles hop every 15 steps
+    for C, layout in zip(seen, layouts):
+        assert not C.flags.writeable
+        np.testing.assert_array_equal(C, build_observation(layout, sc.topo))
+
+
 def test_truth_trajectory_ignores_what_sensors_read():
     """The observed rows leave the simulated trajectory untouched: it is
     the plain step loop with the jam scaling inside its window."""
