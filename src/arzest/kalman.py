@@ -9,17 +9,17 @@ quantities live on the veh/km scale; Q = q I and R = r I apply there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .linearize import linearize_measurement, linearize_model
+from .linearize import linearize_model, measurement_jacobian
 from .model import (
     ModelParams,
     Topology,
+    _box_and_scale,
     _update,
     measure_h,
-    state_bounds,
-    state_scale,
     step_batch,
 )
 
@@ -87,18 +87,25 @@ def init_state(x0, cfg: EstimatorConfig, topo: Topology, params: ModelParams,
     if kind == "enkf":
         if rng is None:
             rng = np.random.default_rng(0)
-        d = state_scale(topo, params)
-        lo, hi = state_bounds(topo, params)
+        lo, hi, d = _box_and_scale(topo, params)
         n = x0.size
         pert = rng.standard_normal((cfg.ensemble_size, n)) * np.sqrt(cfg.p0)
         ens = project_to_bounds(x0 + pert * d, lo, hi)
         return EstimatorState(x=x0.copy(), ensemble=ens)
-    P = cfg.p0 * np.eye(x0.size)
+    P = cfg.p0 * _eye(x0.size)
     return EstimatorState(x=x0.copy(), P=P)
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, built once and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
@@ -108,8 +115,7 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     ``u`` drove the transition into the newly measured state; an empty
     selector (zero rows) performs a pure prediction.
     """
-    d = state_scale(topo, params)
-    lo, hi = state_bounds(topo, params)
+    lo, hi, d = _box_and_scale(topo, params)
     n = state.x.size
 
     lin = linearize_model(state.x, u, topo, params)
@@ -118,7 +124,7 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     # The nonlinear prediction step(x, u), from the flux the linearization
     # already evaluated at x.
     x_pred = _update(state.x, lin.f0, topo, params)
-    P_pred = _sym(As @ state.P @ As.T + cfg.q * np.eye(n))
+    P_pred = _sym(As @ state.P @ As.T + cfg.q * _eye(n))
 
     C_sel = np.asarray(C_sel, dtype=float)
     if C_sel.shape[0] == 0:
@@ -126,27 +132,62 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
         return EstimatorState(x_new, P=P_pred, k=state.k + 1,
                               jitter_events=state.jitter_events)
 
-    lm = linearize_measurement(x_pred, C_sel, params)
-    Cs = lm.C_tilde * d[None, :]
+    Cs = (C_sel @ measurement_jacobian(x_pred, params)[0]) * d[None, :]
     innov = np.asarray(y, dtype=float) - C_sel @ measure_h(x_pred, params)
-    S = Cs @ P_pred @ Cs.T + cfg.r * np.eye(C_sel.shape[0])
+    S = Cs @ P_pred @ Cs.T + cfg.r * _eye(C_sel.shape[0])
     # K = P C^T S^-1 via a solve on the symmetric innovation covariance.
-    K = np.linalg.solve(_jittered(S, state), Cs @ P_pred).T
+    K = _gain(S, Cs @ P_pred, state).T
     x_new = x_pred + d * (K @ innov)
     x_new = project_to_bounds(x_new, lo, hi)
-    IKC = np.eye(n) - K @ Cs
+    IKC = _eye(n) - K @ Cs
     P_new = _sym(IKC @ P_pred @ IKC.T + cfg.r * (K @ K.T))
     return EstimatorState(x_new, P=P_new, k=state.k + 1,
                           jitter_events=state.jitter_events)
 
 
+def _gain(S: np.ndarray, B: np.ndarray, state: EstimatorState) -> np.ndarray:
+    """``S^-1 B`` for a (k, m) ``B``, C-contiguous, exactly as
+    ``np.linalg.solve(_jittered(S, state), B)``, without that function's
+    SVD on a well-conditioned S.
+
+    One LU solve against ``[B | I]`` gives the solution and an
+    approximate inverse X of S.  If ``||S X - I||_F <= 1/2``, then
+    ``||S^-1||_2 <= 2 ||X||_2`` (Higham 2002, Accuracy and Stability of
+    Numerical Algorithms, ch. 14), so ``||S||_F ||X||_F <= 5e11`` proves
+    ``cond_2(S) <= 1e12``; the rounding of the computed residual moves
+    that bound by a fraction of a percent at the filters' sizes.  That is
+    two decades below the 1e14 at which
+    ``_jittered`` adds a ridge, so the SVD would leave S as it is, and
+    the solution's first m columns equal ``np.linalg.solve(S, B)`` bit
+    for bit: the same LU, and the triangular solves treat each column on
+    its own.  (That holds for m >= 2; OpenBLAS solves a lone column by
+    another kernel.  The filters' B has one column per state.)  Only where
+    the bound cannot clear S, or the LU finds it singular, does the SVD
+    run, through ``_jittered``, which counts its ridge escalations in
+    ``state`` and refuses a non-finite S.
+    """
+    k, m = B.shape
+    try:
+        Z = np.linalg.solve(S, np.concatenate((B, _eye(k)), axis=1))
+    except np.linalg.LinAlgError:
+        pass  # exactly singular in the LU: the SVD decides
+    else:
+        X = Z[:, m:]
+        if (np.linalg.norm(S) * np.linalg.norm(X) <= 5e11
+                and np.linalg.norm(S @ X - _eye(k)) <= 0.5):
+            return Z[:, :m].copy()
+    return np.linalg.solve(_jittered(S, state), B)
+
+
 def _jittered(S: np.ndarray, state: EstimatorState) -> np.ndarray:
     """Return S, or S plus an escalating ridge while it stays singular.
 
-    The ridge is scaled to the diagonal: a floored-density measurement
-    Jacobian can inflate S to the 1e30 range, where any fixed ridge
-    underflows and rows of equal garbage magnitude leave the matrix
-    exactly singular in float64.
+    Singular means ``np.linalg.cond(S) >= 1e14``, a full SVD per call;
+    the filters reach this only through ``_gain``, when a cheaper bound
+    cannot show S well conditioned.  The ridge is scaled to the diagonal:
+    a floored-density measurement Jacobian can inflate S to the 1e30
+    range, where any fixed ridge underflows and rows of equal garbage
+    magnitude leave the matrix exactly singular in float64.
     """
     if not np.all(np.isfinite(S)):
         raise EstimatorError("innovation covariance is not finite")
@@ -156,7 +197,7 @@ def _jittered(S: np.ndarray, state: EstimatorState) -> np.ndarray:
         if np.linalg.cond(M) < 1e14:
             return M
         state.jitter_events += 1
-        M = S + ridge * np.eye(S.shape[0])
+        M = S + ridge * _eye(S.shape[0])
         ridge *= 1e3
     return M
 
@@ -166,7 +207,7 @@ def _chol_with_jitter(P: np.ndarray, state: EstimatorState) -> np.ndarray:
         return np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         state.jitter_events += 1
-        P = _sym(P) + 1e-9 * np.eye(P.shape[0])
+        P = _sym(P) + 1e-9 * _eye(P.shape[0])
         try:
             return np.linalg.cholesky(P)
         except np.linalg.LinAlgError as exc:
@@ -180,8 +221,7 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     Sigma points are drawn in the scaled space, projected into the physical
     box, then pushed through the nonlinear update and measurement maps.
     """
-    d = state_scale(topo, params)
-    lo, hi = state_bounds(topo, params)
+    lo, hi, d = _box_and_scale(topo, params)
     n = state.x.size
     lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
     if n + lam <= 0:
@@ -204,7 +244,7 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
 
     x_pred_s = wm @ prop
     dev = prop - x_pred_s
-    P_pred = _sym((dev.T * wc) @ dev + cfg.q * np.eye(n))
+    P_pred = _sym((dev.T * wc) @ dev + cfg.q * _eye(n))
     x_pred = x_pred_s * d
 
     C_sel = np.asarray(C_sel, dtype=float)
@@ -217,9 +257,9 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     Y = measure_h(prop * d[None, :], params) @ C_sel.T
     y_pred = wm @ Y
     dy = Y - y_pred
-    S = (dy.T * wc) @ dy + cfg.r * np.eye(n_p)
+    S = (dy.T * wc) @ dy + cfg.r * _eye(n_p)
     P_xy = (dev.T * wc) @ dy
-    K = np.linalg.solve(_jittered(S, state), P_xy.T).T
+    K = _gain(S, P_xy.T, state).T
     x_new_s = x_pred_s + K @ (np.asarray(y, dtype=float) - y_pred)
     x_new = project_to_bounds(x_new_s * d, lo, hi)
     P_new = _sym(P_pred - K @ S @ K.T)
@@ -231,8 +271,7 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
               topo: Topology, params: ModelParams,
               rng: np.random.Generator) -> EstimatorState:
     """Stochastic ensemble Kalman step with perturbed observations."""
-    d = state_scale(topo, params)
-    lo, hi = state_bounds(topo, params)
+    lo, hi, d = _box_and_scale(topo, params)
     n = state.x.size
     M = state.ensemble.shape[0]
 
@@ -252,8 +291,8 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
         Xdev = ens_s - xm_s
         Ydev = Y - ym
         P_xy = Xdev.T @ Ydev / (M - 1)
-        P_yy = Ydev.T @ Ydev / (M - 1) + cfg.r * np.eye(n_p)
-        K = np.linalg.solve(_jittered(P_yy, state), P_xy.T).T
+        P_yy = Ydev.T @ Ydev / (M - 1) + cfg.r * _eye(n_p)
+        K = _gain(P_yy, P_xy.T, state).T
         y = np.asarray(y, dtype=float)
         half = np.sqrt(3.0 * cfg.r)
         # Observation perturbations mirror the uniform measurement noise.

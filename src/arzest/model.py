@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -238,6 +238,16 @@ def state_scale(topo: Topology, params: ModelParams) -> np.ndarray:
     d = np.ones(topo.n_x)
     d[1::2] = params.v_f
     return d
+
+
+@lru_cache(maxsize=32)
+def _box_and_scale(topo: Topology, params: ModelParams):
+    """``state_bounds`` and ``state_scale`` as ``(lo, hi, d)``, built once
+    per network and read-only, for code that reads them every step."""
+    arrays = (*state_bounds(topo, params), state_scale(topo, params))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -528,33 +538,42 @@ def _inputs(u, topo: Topology) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The flux kernel
 #
-# One formula evaluates every boundary, for one state or for many.  States
-# lie along the last axis of x: one state (n_x,), a population (M, n_x)
-# of sigma points, ensemble members or finite-difference stencil rows
-# (``_compile_jacobian``), or any other stack.  The boundary table's gather
-# indices pull every leg value into (..., boundaries) arrays, ramp and off
-# legs only where they exist, ``_junctions`` evaluates all boundaries at
-# once, and each segment's net flux is read back from its one inflow and
-# one outflow.  Each array operation pays numpy's per-call overhead
-# whatever the number of states: on the 9-cell network one state takes
-# 60-75 us and 49 states 135 us (one core of a 2-vCPU Xeon, numpy 2.4),
-# so ``generate_truth``, which steps one state at a time, spends about
-# 70 ms on the 500-step reference.  An element's result depends neither
-# on how many states are evaluated with it nor on their values, so a
-# one-state call equals its row of a population bit for bit: the colored
-# stencil relies on that to match the dense one, and ``linearize_model``
-# to take the unperturbed flux from its stencil's call.
+# One formula evaluates every boundary, for one state or for many.  Callers
+# pass states along the last axis of x: one state (n_x,), a population
+# (M, n_x) of sigma points, ensemble members or finite-difference stencil
+# rows (``_compile_jacobian``), or any other stack.  ``_net_flux`` lays a
+# population out once as (n_x, P), one column per state, so that
+# everything the kernel indexes (state rows, leg values, boundaries,
+# flows) lies along the first axis; one state keeps its own (n_x,) array.
+# The boundary table's gather indices pull every leg value into a
+# contiguous (boundaries, P) block, ramp and off legs only where they
+# exist, so each array operation of ``_junctions`` is one loop over all
+# boundaries of all states rather than P loops of a dozen elements.  Each
+# segment's net flux is read back from its one inflow and one outflow
+# into a C-contiguous (..., n_x) result.  Every operation still pays
+# numpy's per-call overhead whatever the number of states.  On the 9-cell
+# reference network one state takes 63 us, 19 states (the MHE's stencil)
+# 86 us, 49 (the UKF's sigma points) 102 us and 100 (the EnKF's members)
+# 132 us, against 63, 100, 128 and 175 us with the states along the last
+# axis (fastest of 15 batches interleaved with the old kernel in one
+# process, one core of a 2-vCPU Xeon, numpy 2.4).  An element's result
+# depends neither on how many states are evaluated with it, nor on their
+# values, nor on its column, so a one-state call equals its row of a
+# population bit for bit: the colored stencil relies on that to match the
+# dense one, and ``linearize_model`` to take the unperturbed flux from its
+# stencil's call.
 # ---------------------------------------------------------------------------
 
 
 def _junctions(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
                v_f, rho_m, gamma):
-    """The junction formula, elementwise over boundaries.
+    """The junction formula, elementwise over boundaries (the first axis)
+    and states (a second axis, if there are several).
 
     Legs: main (demand D_m, characteristic w_m) on every boundary,
-    (..., B); ramp (D_r, w_r) on the first R boundaries, (..., R);
-    receiving legs (density, scale) as ``rho_in``, ``s_in``: downstream on
-    every boundary, then off on the last O, (..., B + O).  The off leg
+    (B, ...); ramp (D_r, w_r) on the first R boundaries, (R, ...);
+    receiving legs (density, scale) as ``rho_in``, ``s_in``: downstream
+    on every boundary, then off on the last O, (B + O, ...).  The off leg
     takes the share ``alpha``.
 
     The main leg's priority is ``beta = D_m / (D_m + D_r)`` with a ramp
@@ -571,12 +590,14 @@ def _junctions(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
     ``min(x, inf)``) to the main and downstream legs alone, so only the
     boundaries that have those legs evaluate them.
 
-    Returns the outflows and inflows stacked along the last axis,
+    Returns the outflows and inflows stacked along the first axis,
     ``[q_m | q_r | phi_m | phi_r | q_d | q_o | phi_d | phi_o]``, and the
-    (..., B) gap between the two smallest candidates (inf for a dead merge).
+    (B, ...) gap between the two smallest candidates (inf for a dead
+    merge).
     """
-    R, O, B = t.n_ramp, t.n_off, D_m.shape[-1]
-    D_k = D_m[..., :R]
+    R, O, B = t.n_ramp, t.n_off, len(D_m)
+    per_row = _per_row(D_m)
+    D_k = D_m[:R]
     tot = D_k + D_r
     live = tot > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -585,60 +606,83 @@ def _junctions(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
         c_k = np.minimum(np.where(beta > 0.0, D_k / beta, np.inf),
                          np.where(beta < 1.0, D_r / rest, np.inf))
     a, w_bar = D_m.copy(), w_m.copy()
-    a[..., :R] = c_k
-    w_bar[..., :R] = beta * w_m[..., :R] + rest * w_r
+    a[:R] = c_k
+    w_bar[:R] = beta * w_m[:R] + rest * w_r
     # Downstream and off supplies in one call: S_d / (1 - alpha), S_o / alpha.
-    w_in = np.concatenate((w_bar, w_bar[..., B - O:]), axis=-1)
-    cand = s_in * _supply(rho_in, w_in, v_f, rho_m, gamma) / t.divisor
-    q, second = np.minimum(a, cand[..., :B]), np.maximum(a, cand[..., :B])
-    lo, hi, c = q[..., B - O:], second[..., B - O:], cand[..., B:]
+    w_in = np.concatenate((w_bar, w_bar[B - O:]))
+    cand = s_in * _supply(rho_in, w_in, v_f, rho_m, gamma) / t.divisor[per_row]
+    q, second = np.minimum(a, cand[:B]), np.maximum(a, cand[:B])
+    lo, hi, c = q[B - O:], second[B - O:], cand[B:]
     np.maximum(lo, np.minimum(hi, c), out=hi)
     np.minimum(lo, c, out=lo)
     gap = second - q
-    q[..., :R] = np.where(live, q[..., :R], 0.0)
-    gap[..., :R] = np.where(live, gap[..., :R], np.inf)
+    q[:R] = np.where(live, q[:R], 0.0)
+    gap[:R] = np.where(live, gap[:R], np.inf)
     q_m = q.copy()
-    q_m[..., :R] *= beta
-    q_r = q[..., :R] - q_m[..., :R]
+    q_m[:R] *= beta
+    q_r = q[:R] - q_m[:R]
     phi = q * w_bar
-    q_o, phi_o = t.alpha_off * q[..., B - O:], t.alpha_off * phi[..., B - O:]
+    alpha = t.alpha_off[per_row]
+    q_o, phi_o = alpha * q[B - O:], alpha * phi[B - O:]
     flows = np.concatenate((q_m, q_r, q_m * w_m, q_r * w_r,
-                            q[..., :B - O], q[..., B - O:] - q_o, q_o,
-                            phi[..., :B - O], phi[..., B - O:] - phi_o, phi_o),
-                           axis=-1)
+                            q[:B - O], q[B - O:] - q_o, q_o,
+                            phi[:B - O], phi[B - O:] - phi_o, phi_o))
     return flows, gap
 
 
-def _flows(x, u, topo: Topology, params: ModelParams, ds_scale=None):
-    """``_junctions``' flows and gaps at the states ``x`` (..., n_x).
-
-    ``u`` is one input vector shared by all states or an array of
-    per-state inputs.
-    """
+def _flows(xt, ut, topo: Topology, params: ModelParams, ds_scale=None):
+    """``_junctions``' flows and gaps at the states ``xt`` under the
+    inputs ``ut``, both as ``_population_major`` lays them out."""
     v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
     t = topo._boundaries
     nseg = topo.n_segments
-    sc = 1.0 if ds_scale is None else np.asarray(ds_scale, dtype=float)
-    rho, psi = x[..., 0::2], x[..., 1::2]
-    V = np.empty(x.shape[:-1] + (4 * nseg + topo.n_u + 2,))
-    W = np.divide(psi, np.maximum(rho, EPS_RHO), out=V[..., nseg:2 * nseg])
-    V[..., :nseg] = sc * _demand(rho, W, v_f, rho_m, gamma)
-    V[..., 2 * nseg:3 * nseg] = rho
-    V[..., 3 * nseg:4 * nseg] = sc
-    V[..., 4 * nseg:-2] = _inputs(u, topo)
-    V[..., -2:] = (0.0, 1.0)
-    V = V.take(t.gather, axis=-1)
-    return _junctions(*(V[..., sl] for sl in t.gather_legs), t,
+    sc = (1.0 if ds_scale is None
+          else np.asarray(ds_scale, dtype=float)[_per_row(xt)])
+    rho, psi = xt[0::2], xt[1::2]
+    V = np.empty((4 * nseg + topo.n_u + 2,) + xt.shape[1:])
+    W = np.divide(psi, np.maximum(rho, EPS_RHO), out=V[nseg:2 * nseg])
+    V[:nseg] = sc * _demand(rho, W, v_f, rho_m, gamma)
+    V[2 * nseg:3 * nseg] = rho
+    V[3 * nseg:4 * nseg] = sc
+    V[4 * nseg:-2] = ut
+    V[-2] = 0.0
+    V[-1] = 1.0
+    V = V.take(t.gather, axis=0)
+    return _junctions(*(V[sl] for sl in t.gather_legs), t,
                       v_f, rho_m, gamma)
 
 
-def _net_flux(x, u, topo: Topology, params: ModelParams, ds_scale=None):
-    """Stacked net fluxes, in the shape of ``x``, and the branch-tie
-    margins (..., boundaries) of every state."""
+def _per_row(a):
+    """Index that gives a per-row constant the trailing axes of ``a``."""
+    return (slice(None),) + (None,) * (a.ndim - 1)
+
+
+def _population_major(x, u, topo: Topology):
+    """States and inputs as columns: ``(xt, ut, lead)``, where ``lead``
+    is the stack shape of the states.  One state and one input vector
+    stay as they are; a population becomes (n_x, P), with inputs
+    (n_u, 1) shared by all states or (n_u, P)."""
     x = np.asarray(x, dtype=float)
+    u = _inputs(u, topo)
+    if x.ndim == 1 and u.ndim == 1:
+        return x, u, ()
+    if u.ndim > 1 and u.shape[:-1] != x.shape[:-1]:
+        u = np.broadcast_to(u, x.shape[:-1] + u.shape[-1:])
+    xt = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+    ut = u[:, None] if u.ndim == 1 else u.reshape(-1, u.shape[-1]).T
+    return xt, ut, x.shape[:-1]
+
+
+def _net_flux(x, u, topo: Topology, params: ModelParams, ds_scale=None):
+    """Stacked net fluxes, C-contiguous in the shape of ``x``, and the
+    branch-tie margins (..., boundaries) of every state."""
+    xt, ut, lead = _population_major(x, u, topo)
     t = topo._boundaries
-    flows, gap = _flows(x, u, topo, params, ds_scale)
-    return flows.take(t.inflow, axis=-1) - flows.take(t.outflow, axis=-1), gap
+    flows, gap = _flows(xt, ut, topo, params, ds_scale)
+    f = np.empty(xt.shape[::-1])
+    np.subtract(flows.take(t.inflow, axis=0), flows.take(t.outflow, axis=0),
+                out=f.T)
+    return f.reshape(lead + xt.shape[:1]), gap.T.reshape(lead + gap.shape[:1])
 
 
 def nonlinear_f(x, u, topo: Topology, params: ModelParams, ds_scale=None) -> np.ndarray:
@@ -680,7 +724,8 @@ def compute_fluxes(x, u, topo: Topology, params: ModelParams,
     segments (per global segment id - 1), which is how a local speed
     reduction is imposed on the truth model.
     """
-    flows, gap = _flows(np.asarray(x, dtype=float), u, topo, params, ds_scale)
+    xt, ut, _ = _population_major(x, u, topo)
+    flows, gap = _flows(xt, ut, topo, params, ds_scale)
     t = topo._boundaries
     B, R, O = t.slots.shape[1], t.n_ramp, t.n_off
     # The flows' legs in order, sending then receiving, and their slots.
@@ -800,7 +845,7 @@ def _update(x, f, topo: Topology, params: ModelParams, margin=math.inf,
         # the first state index that is non-finite in any row
         r, i = min(np.argwhere(~np.isfinite(rows)), key=lambda ri: ri[1])
         raise BlowupError(int(i), float(rows[r, i]))
-    lo, hi = state_bounds(topo, params)
+    lo, hi, _ = _box_and_scale(topo, params)
     clipped = np.clip(x_new, lo, hi)
     if diag is not None:
         diag.clamped += int(np.count_nonzero(clipped != x_new))

@@ -3,11 +3,14 @@ and bound projection for the extended, unscented and ensemble variants."""
 import numpy as np
 import pytest
 
+from arzest import kalman
 from arzest.kalman import (
     EstimatorConfig,
     EstimatorError,
     EstimatorState,
     KalmanRunner,
+    _gain,
+    _jittered,
     ekf_step,
     enkf_step,
     init_state,
@@ -23,6 +26,12 @@ from arzest.model import (
     state_bounds,
     state_scale,
     step,
+)
+from arzest.scenarios import (
+    EstimatorSpec,
+    default_scenario,
+    generate_truth,
+    run_estimation,
 )
 from arzest.sensing import build_observation
 
@@ -263,3 +272,93 @@ def test_ukf_pure_prediction_close_to_model(topo, params):
     st2 = ukf_step(st, u, np.zeros(0), _empty_C(topo), cfg, topo, params)
     ref = step(x0, u, topo, params)
     assert np.max(np.abs(st2.x - ref)) < 1e-2
+
+
+def _with_condition(cond, k=6, seed=0):
+    """A symmetric k x k matrix with singular values from 1 to ``cond``."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (Q * np.geomspace(1.0, cond, k)) @ Q.T
+
+
+def _gain_inputs_of_a_noise_1_run(monkeypatch):
+    """Every (S, B) the EKF solves for on 20 reference steps at noise 1."""
+    seen, real = [], kalman._gain
+
+    def record(S, B, state):
+        seen.append((S.copy(), np.array(B)))
+        return real(S, B, state)
+
+    monkeypatch.setattr(kalman, "_gain", record)
+    sc = default_scenario(20, 1.0)
+    run_estimation(sc, generate_truth(sc), EstimatorSpec("ekf"), seed=0)
+    return seen
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The matrices ``_gain`` hands to ``_jittered`` and its SVD."""
+    calls = []
+
+    def spy(S, state):
+        calls.append(S)
+        return _jittered(S, state)
+
+    monkeypatch.setattr(kalman, "_jittered", spy)
+    return calls
+
+
+def _assert_gain_is_the_jittered_solve(S, B):
+    got_state, want_state = (EstimatorState(np.zeros(1)),
+                             EstimatorState(np.zeros(1)))
+    got = _gain(S, B, got_state)
+    want = np.linalg.solve(_jittered(S, want_state), B)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
+    assert got_state.jitter_events == want_state.jitter_events
+    return got_state.jitter_events
+
+
+def test_gain_equals_the_jittered_solve_on_a_noise_1_run(monkeypatch,
+                                                         svd_calls):
+    """The bound clears the innovation covariances of a noise-1 run
+    without the SVD, and the gain is the plain solve's bit for bit."""
+    seen = _gain_inputs_of_a_noise_1_run(monkeypatch)
+    assert len(seen) == 20
+    svd_calls.clear()
+    for S, B in seen:
+        assert B.shape[1] > 1
+        assert _assert_gain_is_the_jittered_solve(S, B) == 0
+    assert not svd_calls
+
+
+@pytest.mark.parametrize("cond, events", [
+    (5e12, 0),   # beyond the bound, but the SVD finds no need for a ridge
+    (1e15, 1),   # ridge paths
+    (1e30, 1),
+])
+def test_gain_equals_the_jittered_solve_at_any_condition(cond, events,
+                                                         svd_calls):
+    S = _with_condition(cond)
+    B = np.random.default_rng(1).standard_normal((S.shape[0], 24))
+    assert _assert_gain_is_the_jittered_solve(S, B) == events
+    assert len(svd_calls) == 1
+
+
+def test_gain_of_an_exactly_singular_matrix_takes_the_ridge(svd_calls):
+    S = np.ones((4, 4))
+    B = np.arange(4 * 24, dtype=float).reshape(4, 24)
+    assert _assert_gain_is_the_jittered_solve(S, B) == 1
+    assert len(svd_calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gain_refuses_a_non_finite_covariance(bad):
+    S = _with_condition(10.0)
+    S[2, 3] = bad
+    B = np.ones((S.shape[0], 24))
+    for solve in (lambda st: _gain(S, B, st), lambda st: _jittered(S, st)):
+        with pytest.raises(EstimatorError,
+                           match="innovation covariance is not finite"):
+            solve(EstimatorState(np.zeros(1)))

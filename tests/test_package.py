@@ -1,4 +1,9 @@
-"""The package surface: what ``import arzest`` exports."""
+"""The package surface: what ``import arzest`` exports and needs."""
+import os
+import subprocess
+import sys
+import textwrap
+
 import arzest
 
 # Every name the package exported before ``__all__`` was built from the
@@ -31,3 +36,27 @@ def test_package_keeps_every_exported_name():
     assert len(set(arzest.__all__)) == len(arzest.__all__)
     for name in arzest.__all__:
         assert hasattr(arzest, name), name
+
+
+def test_every_estimator_runs_without_scipy():
+    """The runtime is numpy only: with scipy unimportable, 20 steps of
+    each estimator run to the end."""
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
+        from arzest import (EstimatorSpec, default_scenario, generate_truth,
+                            run_estimation)
+        sc = default_scenario(20, 1.0)
+        truth = generate_truth(sc)
+        for kind in ("ekf", "ukf", "enkf", "mhe"):
+            res = run_estimation(sc, truth, EstimatorSpec(kind), seed=0)
+            assert res.est.shape == (21, sc.topo.n_x) and res.within_bounds
+            print(kind)
+    """)
+    src = os.path.dirname(os.path.dirname(arzest.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ekf", "ukf", "enkf", "mhe"]

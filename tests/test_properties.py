@@ -115,6 +115,40 @@ def test_one_state_call_equals_its_population_row(case):
 
 
 @PROPERTY
+@given(cases(), st.sampled_from((17, 33)), st.integers(0, 2 ** 32 - 1))
+def test_kernel_rows_do_not_depend_on_their_place(case, size, seed):
+    """Populations of 17 and 33 states, which cross every SIMD lane width,
+    and a stacked (2, 3, n_x) population give each state the bits of its
+    one-state call, and the kernel's results are C-contiguous."""
+    topo, p, X, U, scale = case
+    rng = np.random.default_rng(seed)
+    # The drawn states and inputs, repeated and scaled into new rows.
+    pick = rng.integers(0, len(X), size)
+    Xp = X[pick] * rng.choice((0.0, 0.5, 1.0, 1.0 + 1e-6), X[pick].shape)
+    Up = U[pick] * rng.uniform(0.0, 1.0, U[pick].shape)
+    F, gaps = _net_flux(Xp, Up, topo, p, ds_scale=scale)
+    for x, u, f_row, gap_row in zip(Xp, Up, F, gaps):
+        f, gap = _net_flux(x, u, topo, p, ds_scale=scale)
+        assert _same_bits(f, f_row)
+        assert _same_bits(gap, gap_row)
+    stack, Us = Xp[:6].reshape(2, 3, -1), Up[:6].reshape(2, 3, -1)
+    F_stack, gap_stack = _net_flux(stack, Us, topo, p, ds_scale=scale)
+    assert F_stack.shape == stack.shape
+    assert _same_bits(F_stack.reshape(6, -1), F[:6])
+    assert _same_bits(gap_stack.reshape(6, -1), gaps[:6])
+    # Inputs broadcast over the stack as numpy broadcasts them.
+    assert _same_bits(nonlinear_f(stack, Us[1], topo, p),
+                      nonlinear_f(stack, np.broadcast_to(Us[1], Us.shape),
+                                  topo, p))
+    for out in (F, F_stack, _net_flux(X[0], U[0], topo, p)[0],
+                nonlinear_f(Xp, U[0], topo, p, ds_scale=scale),
+                nonlinear_f(stack, Us, topo, p),
+                step_batch(Xp, U[0], topo, p, ds_scale=scale),
+                step_batch(stack, Us, topo, p)):
+        assert out.flags.c_contiguous
+
+
+@PROPERTY
 @given(cases(rows=1))
 def test_compute_fluxes_conserves_vehicles(case):
     topo, p, X, U, scale = case
