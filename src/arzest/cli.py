@@ -241,7 +241,15 @@ def _build_jam(doc: dict) -> JamSpec | None:
 def _build_schedule(doc: dict, topo: Topology) -> SensorSchedule:
     sec = doc.get("sensors", None)
     if sec is None:
-        return default_schedule(topo)
+        try:
+            sched = default_schedule(topo)
+            positions_at(sched, topo, 0)
+        except ValueError:
+            raise ConfigError(
+                "the default sensor schedule (mobile starts 1, 3, 7 plus the "
+                f"minimum fixed set) does not fit a {topo.n_mainline}-cell "
+                "mainline; give a sensors section") from None
+        return sched
     if not isinstance(sec, dict):
         raise ConfigError("sensors must be an object")
     _reject_unknown(sec, {"fixed", "mobile", "rotation_period"}, "sensors")

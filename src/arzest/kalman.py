@@ -113,7 +113,7 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     """Extended Kalman step: nonlinear predict, affine-model covariance.
 
     ``u`` drove the transition into the newly measured state; an empty
-    selector (zero rows) performs a pure prediction.
+    selector (zero rows) makes the update a 0 x 0 solve: a pure prediction.
     """
     lo, hi, d = _box_and_scale(topo, params)
     n = state.x.size
@@ -127,11 +127,6 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     P_pred = _sym(As @ state.P @ As.T + cfg.q * _eye(n))
 
     C_sel = np.asarray(C_sel, dtype=float)
-    if C_sel.shape[0] == 0:
-        x_new = project_to_bounds(x_pred, lo, hi)
-        return EstimatorState(x_new, P=P_pred, k=state.k + 1,
-                              jitter_events=state.jitter_events)
-
     Cs = (C_sel @ measurement_jacobian(x_pred, params)[0]) * d[None, :]
     innov = np.asarray(y, dtype=float) - C_sel @ measure_h(x_pred, params)
     S = Cs @ P_pred @ Cs.T + cfg.r * _eye(C_sel.shape[0])
@@ -245,19 +240,12 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     x_pred_s = wm @ prop
     dev = prop - x_pred_s
     P_pred = _sym((dev.T * wc) @ dev + cfg.q * _eye(n))
-    x_pred = x_pred_s * d
 
     C_sel = np.asarray(C_sel, dtype=float)
-    if C_sel.shape[0] == 0:
-        x_new = project_to_bounds(x_pred, lo, hi)
-        return EstimatorState(x_new, P=P_pred, k=state.k + 1,
-                              jitter_events=state.jitter_events)
-
-    n_p = C_sel.shape[0]
     Y = measure_h(prop * d[None, :], params) @ C_sel.T
     y_pred = wm @ Y
     dy = Y - y_pred
-    S = (dy.T * wc) @ dy + cfg.r * _eye(n_p)
+    S = (dy.T * wc) @ dy + cfg.r * _eye(C_sel.shape[0])
     P_xy = (dev.T * wc) @ dy
     K = _gain(S, P_xy.T, state).T
     x_new_s = x_pred_s + K @ (np.asarray(y, dtype=float) - y_pred)
@@ -275,8 +263,7 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     n = state.x.size
     M = state.ensemble.shape[0]
 
-    ens = step_batch(project_to_bounds(state.ensemble, lo, hi),
-                     u, topo, params)
+    ens = step_batch(state.ensemble, u, topo, params)
     if cfg.q > 0:
         ens = ens + rng.standard_normal((M, n)) * np.sqrt(cfg.q) * d
         ens = project_to_bounds(ens, lo, hi)

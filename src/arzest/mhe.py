@@ -41,13 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linearize import linearize_measurement, linearize_model
-from .model import (
-    ModelParams,
-    Topology,
-    state_bounds,
-    state_scale,
-    step,
-)
+from .model import ModelParams, Topology, _box_and_scale, step
 
 __all__ = [
     "MheConfig",
@@ -251,9 +245,10 @@ class SolveInfo:
             a @ Ha + np.abs(qp.q) @ a + abs(qp.const))
 
 
-def operating_point(prev_window: list[np.ndarray]) -> np.ndarray:
-    """Mean of the previous window's solution blocks."""
-    if not prev_window:
+def operating_point(prev_window) -> np.ndarray:
+    """Mean of the previous window's solution blocks, given as a list of
+    states or as one (n_blocks, n_x) array."""
+    if len(prev_window) == 0:
         raise ValueError("previous window is empty")
     return np.mean(np.asarray(prev_window), axis=0)
 
@@ -299,8 +294,6 @@ def assemble_qp(buf: HorizonBuffer, x_bar_s, cfg: MheConfig,
 
     for e in buf.entries:
         b = e.time - start
-        if b < 0:
-            continue
         if e.C_s.shape[0] > 0 and cfg.w1 > 0:
             D[b] += cfg.w1 * e.CtC
             Q[b] += -2.0 * cfg.w1 * e.Cty
@@ -328,11 +321,6 @@ def _projected_gradient(z, g, lo, hi) -> np.ndarray:
     return np.maximum(r, np.where(at_hi, g, 0.0))
 
 
-def _kkt_residual(z, g, lo, hi) -> float:
-    """Projected-gradient optimality violation for the box constraints."""
-    return float(np.max(_projected_gradient(z, g, lo, hi)))
-
-
 def _band_matvec(D, E, z) -> np.ndarray:
     """H z for the symmetric block-tridiagonal H with diagonal blocks D and
     sub-diagonal blocks E, as batched block products."""
@@ -344,14 +332,13 @@ def _band_matvec(D, E, z) -> np.ndarray:
     return out.ravel()
 
 
-def _below_roundoff(z, g, qp: QPProblem, abs_band, tol_kkt: float):
-    """Whether every coordinate's projected gradient lies below
-    ``max(tol_kkt, eps (2|H||z| + |q|))``, the larger of the tolerance and
-    the roundoff floor of the gradient ``2Hz + q`` at that coordinate, and
-    the largest floor.  ``abs_band`` is the band of |H|."""
+def _below_roundoff(z, r, qp: QPProblem, abs_band, tol_kkt: float):
+    """Whether every coordinate's projected gradient ``r`` at ``z`` lies
+    below ``max(tol_kkt, eps (2|H||z| + |q|))``, the larger of the tolerance
+    and the roundoff floor of the gradient ``2Hz + q`` at that coordinate,
+    and the largest floor.  ``abs_band`` is the band of |H|."""
     floor = np.finfo(float).eps * (
         2.0 * _band_matvec(*abs_band, np.abs(z)) + np.abs(qp.q))
-    r = _projected_gradient(z, g, qp.z_min, qp.z_max)
     return bool(np.all(r <= np.maximum(tol_kkt, floor))), float(floor.max())
 
 
@@ -414,11 +401,11 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
     band ``qp.D``, ``qp.E`` of H is read: every linear system, the start
     point's and each step's, is solved by block elimination
     (``_solve_blocks``), and every product with H is a block product.
-    Terminates on the projected KKT conditions, or, once they fail, when
-    every coordinate's projected gradient lies below the gradient's roundoff
-    floor at that coordinate (``SolveInfo.kkt_floor``); every iterate lies
-    in the box exactly.  If ``max_iter`` iterations run out or a line search
-    stalls, the last iterate is returned with the converged flag false.
+    Each iterate is tested once: on the projected KKT conditions, or, once
+    they fail, whether every coordinate's projected gradient lies below the
+    gradient's roundoff floor there (``SolveInfo.kkt_floor``).  Every
+    iterate lies in the box exactly.  If ``max_iter`` iterations run out or
+    a line search stalls, the last iterate is returned unconverged.
     Raises ``np.linalg.LinAlgError`` when a pivot block of the elimination
     is singular, as it is for a singular H.
     """
@@ -426,18 +413,21 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
     if z0 is None:
         z0 = _solve_blocks(D, E, -0.5 * q)
     z = np.clip(np.asarray(z0, dtype=float), lo, hi)
-    Hz = _band_matvec(D, E, z)
-    f = float(z @ Hz + q @ z)
-    g = 2.0 * Hz + q
-    hist = [f + qp.const]
-    kkt = _kkt_residual(z, g, lo, hi)
-    converged, it, floor, abs_band = kkt <= tol_kkt, 0, 0.0, None
-    while not converged:
-        # Only now that the plain test failed: a gradient below its
-        # roundoff floor carries no information about the minimiser.
-        if abs_band is None:
-            abs_band = (np.abs(D), np.abs(E))
-        converged, floor = _below_roundoff(z, g, qp, abs_band, tol_kkt)
+    hist, it, abs_band = [], 0, None
+    while True:
+        Hz = _band_matvec(D, E, z)
+        f = float(z @ Hz + q @ z)
+        g = 2.0 * Hz + q
+        hist.append(f + qp.const)
+        r = _projected_gradient(z, g, lo, hi)
+        kkt, floor = float(np.max(r)), 0.0
+        converged = kkt <= tol_kkt
+        if not converged:
+            # Only now that the plain test failed: a gradient below its
+            # roundoff floor carries no information about the minimiser.
+            if abs_band is None:
+                abs_band = (np.abs(D), np.abs(E))
+            converged, floor = _below_roundoff(z, r, qp, abs_band, tol_kkt)
         if converged or it >= max_iter:
             break
         it += 1
@@ -463,15 +453,8 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
                 break
             a *= 0.5
         else:
-            break
+            break  # the line search stalled
         z = z_new
-        Hz = _band_matvec(D, E, z)
-        f = float(z @ Hz + q @ z)
-        g = 2.0 * Hz + q
-        hist.append(f + qp.const)
-        kkt = _kkt_residual(z, g, lo, hi)
-        if kkt <= tol_kkt:
-            converged, floor = True, 0.0
     return z, SolveInfo(converged, it, kkt, f + qp.const, hist, floor, qp)
 
 
@@ -486,6 +469,8 @@ class MheSession:
     so that the window Hessian is positive definite: the arrival term pins
     the first block and each model residual the next.
 
+    The last window's solution is kept, clipped, as one (n_blocks, n_x)
+    array: its mean is the next operating point, its last row x_hat[t-1].
     Each step makes the entry for its time t and, with it, the arrival
     prior that entry will carry once it starts the window.  By default the
     prior comes from one more row of the linearization's flux call.  With
@@ -504,15 +489,12 @@ class MheSession:
         self.topo = topo
         self.params = params
         self.x0 = np.asarray(x0, dtype=float).copy()
-        self._d = state_scale(topo, params)
-        lo, hi = state_bounds(topo, params)
-        self._lo_nat, self._hi_nat = lo, hi
-        self._lo_s = lo / self._d
-        self._hi_s = hi / self._d
+        self._lo, self._hi, self._d = _box_and_scale(topo, params)
+        self._lo_s = self._lo / self._d
+        self._hi_s = self._hi / self._d
         self.buffer = HorizonBuffer(cfg.horizon)
         self.t = 0
-        self._x_last = self.x0.copy()
-        self._prev_window: list[np.ndarray] = [self.x0.copy()]
+        self._window = self.x0[None, :]
         self.failed_solves = 0
         self.last_info: SolveInfo | None = None
 
@@ -534,9 +516,9 @@ class MheSession:
         self._transition = transition
 
     def _make_entry(self, time: int, u, y, C_sel) -> HorizonEntry:
-        x_o = operating_point(self._prev_window)
+        x_o = operating_point(self._window)
         u = np.asarray(u, dtype=float).copy()
-        lin, arrival = self._transition(x_o, u, self._x_last)
+        lin, arrival = self._transition(x_o, u, self._window[-1])
         lm = self._meas(x_o, np.asarray(C_sel, dtype=float))
         d = self._d
         A_s = lin.A_tilde * (d[None, :] / d[:, None])
@@ -563,10 +545,7 @@ class MheSession:
         self.last_info = info
         if not info.converged:
             self.failed_solves += 1
-        blocks = z.reshape(qp.n_blocks, qp.n_x) * self._d[None, :]
+        blocks = z.reshape(qp.n_blocks, qp.n_x) * self._d
         # Rescaling to natural units can brush a bound by one ulp.
-        blocks = np.clip(blocks, self._lo_nat[None, :], self._hi_nat[None, :])
-        self._prev_window = [blocks[b].copy() for b in range(qp.n_blocks)]
-        x_hat = blocks[-1].copy()
-        self._x_last = x_hat
-        return x_hat
+        self._window = np.clip(blocks, self._lo, self._hi)
+        return self._window[-1].copy()

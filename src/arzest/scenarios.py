@@ -248,7 +248,8 @@ def generate_truth(sc: Scenario) -> TruthResult:
     Starts from ``x_init`` when given, otherwise from the steady state
     reached after ``warmup_steps`` constant-input steps.  The jam scaling
     applies only inside its step window, to the step from state k and to
-    what sensors read at state k alike.
+    what sensors read at state k alike.  The observed rows are one
+    ``measure_h`` call on the whole trajectory, jam window scaled after.
     """
     params, topo = sc.params, sc.topo
     if sc.x_init is not None:
@@ -261,17 +262,15 @@ def generate_truth(sc: Scenario) -> TruthResult:
     diag = StepDiagnostics()
     jam_sc = _jam_scales(sc)
     traj = np.empty((sc.t_f + 1, topo.n_x))
-    obs = np.empty_like(traj)
     traj[0] = x
     for k in range(sc.t_f):
         active = (jam_sc is not None and sc.jam.start <= k < sc.jam.end)
-        obs[k] = measure_h(x, params)
-        if active:
-            obs[k, 1::2] *= jam_sc
         x = step(x, sc.inputs[k], topo, params,
                  ds_scale=jam_sc if active else None, diag=diag)
         traj[k + 1] = x
-    obs[sc.t_f] = measure_h(x, params)
+    obs = measure_h(traj, params)
+    if jam_sc is not None:
+        obs[sc.jam.start:sc.jam.end, 1::2] *= jam_sc
     return TruthResult(traj=traj, clamp_events=diag.clamped, obs=obs)
 
 
@@ -349,8 +348,6 @@ def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
     estimator = make_estimator(spec, x0, topo, params, rng_est)
     est = np.empty_like(truth.traj)
     est[0] = x0
-    lo, hi = state_bounds(topo, params)
-    within = True
     times = []
     selectors = {}  # one read-only selector per sensor layout
     for k in range(1, sc.t_f + 1):
@@ -364,8 +361,9 @@ def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
         x_hat = estimator.step(sc.inputs[k - 1], y, C)
         times.append(_time.perf_counter() - t0)
         est[k] = x_hat
-        if np.any(x_hat < lo - 1e-12) or np.any(x_hat > hi + 1e-12):
-            within = False
+    # The first row is the given start, which the flag leaves out.
+    lo, hi = state_bounds(topo, params)
+    within = not (np.any(est[1:] < lo - 1e-12) or np.any(est[1:] > hi + 1e-12))
     r_rho, r_v = rmse(truth.traj, est, params, truth_obs=truth.obs)
     flags = []
     if isinstance(estimator, MheSession):

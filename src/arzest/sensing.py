@@ -66,8 +66,6 @@ def _free_slots(sched: SensorSchedule, topo: Topology) -> list[int]:
     for s in sched.initial_positions:
         if s not in slots:
             raise ValueError(f"mobile start {s} is not a free mainline segment")
-    if sched.mobile_count > len(slots):
-        raise ValueError("more mobile sensors than free mainline segments")
     return slots
 
 

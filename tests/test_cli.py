@@ -284,3 +284,49 @@ def test_config_seeds_must_be_non_negative_and_non_empty(tmp_path, capsys,
 def test_gramian_terms_must_be_positive(capsys):
     assert cli.main(["gramian", "--terms", "0"]) == 2
     assert "--terms must be a positive integer" in capsys.readouterr().err
+
+
+def _ramp_topology(**off):
+    return {"mainline": 12, "on_ramps": [4],
+            "off_ramps": [{"from": 9, "split": 0.1, **off}]}
+
+
+def test_topology_section_builds_the_network(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path, topology=_ramp_topology())
+    for cmd in ("simulate", "estimate"):
+        out = tmp_path / f"{cmd}.csv"
+        assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 0
+        rows = _read_csv(out)
+        assert len(rows) == 22
+        assert {len(r) for r in rows} == {2 + 28}  # 14 segments
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("topology, cause", [
+    (_ramp_topology(split=1.5), "off-ramp split alpha 1.5"),
+    ({"mainline": 12, "on_ramps": [10], "off_ramps": [{"from": 9}]},
+     "two ramps share mainline boundary 9"),
+    ({"mainline": 0}, "topology.mainline must be a positive integer"),
+    ({"mainline": True}, "topology.mainline must be a positive integer"),
+    ({"mainline": 12, "off_ramps": {"from": 9}},
+     "topology.off_ramps must be a list"),
+    ({"mainline": 12, "off_ramps": [9]},
+     "topology.off_ramps entries must be objects"),
+    (_ramp_topology(to=3), "unknown key(s) in topology.off_ramps[0]: to"),
+])
+def test_bad_topology_section_rejected(tmp_path, capsys, topology, cause):
+    cfg = _write_config(tmp_path, {"topology": topology})
+    for cmd in ("simulate", "estimate"):
+        assert cli.main([cmd, "--config", cfg]) == 2
+        assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mainline", [5, 7])
+def test_default_schedule_that_does_not_fit_asks_for_sensors(tmp_path,
+                                                            capsys, mainline):
+    cfg = _write_config(tmp_path, {"topology": {"mainline": mainline}})
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "default sensor schedule (mobile starts 1, 3, 7" in err
+    assert f"does not fit a {mainline}-cell mainline" in err
+    assert "give a sensors section" in err

@@ -110,6 +110,26 @@ def test_ekf_pure_prediction_matches_model(topo, params):
     assert st2.k == 1
 
 
+def test_ekf_empty_selector_takes_the_general_update(topo, params):
+    """With no measurement rows the update solves a 0 x 0 system and
+    returns the prediction of ``test_ekf_one_step_reference`` bit for bit."""
+    cfg = EstimatorConfig()
+    x0 = _warmed(topo, params)
+    u = _inputs(topo)
+    st = init_state(x0, cfg, topo, params, "ekf")
+    got = ekf_step(st, u, np.zeros(0), _empty_C(topo), cfg, topo, params)
+
+    d = state_scale(topo, params)
+    n = x0.size
+    lin = linearize_model(x0, u, topo, params)
+    As = lin.A_tilde * (d[None, :] / d[:, None])
+    P_pred = As @ (cfg.p0 * np.eye(n)) @ As.T + cfg.q * np.eye(n)
+    P_pred = 0.5 * (P_pred + P_pred.T)
+    assert got.x.tobytes() == step(x0, u, topo, params).tobytes()
+    assert got.P.tobytes() == P_pred.tobytes()
+    assert got.jitter_events == 0
+
+
 def test_ekf_one_step_reference(topo, params):
     """Replicate the scaled-space EKF update equations independently."""
     cfg = EstimatorConfig()
@@ -362,3 +382,20 @@ def test_gain_refuses_a_non_finite_covariance(bad):
         with pytest.raises(EstimatorError,
                            match="innovation covariance is not finite"):
             solve(EstimatorState(np.zeros(1)))
+
+
+@pytest.mark.parametrize("eig, events", [(-1e-12, 1), (-1.0, None)])
+def test_ukf_covariance_jitter(topo, params, eig, events):
+    """An indefinite P gets one ridge before its Cholesky factor; one the
+    ridge cannot mend is refused."""
+    cfg = EstimatorConfig()
+    P = cfg.p0 * np.eye(topo.n_x)
+    P[5, 5] = eig
+    st = EstimatorState(_warmed(topo, params), P=P)
+    args = (st, _inputs(topo), np.zeros(0), _empty_C(topo), cfg, topo, params)
+    if events is None:
+        with pytest.raises(EstimatorError,
+                           match="covariance is not positive definite"):
+            ukf_step(*args)
+    else:
+        assert ukf_step(*args).jitter_events == events

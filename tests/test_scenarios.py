@@ -442,3 +442,15 @@ def test_write_sweep_csv(tmp_path):
     assert lines[0] == ("scenario_id,sweep,estimator,knob,"
                         "rmse_rho,rmse_v,mean_step_time_s,flags")
     assert lines[1] == "default,noise,ekf,5.0,1.23456789,0.5,0.00123,"
+
+
+@pytest.mark.parametrize("kind", ["ekf", "ukf", "enkf", "mhe"])
+def test_run_without_any_sensor_stays_finite_and_in_the_box(kind):
+    """A run with no sensor takes every step through the estimator's
+    general update, with no measurement rows."""
+    sc = replace(default_scenario(60),
+                 schedule=SensorSchedule(fixed_segments=()))
+    res = run_estimation(sc, generate_truth(sc), EstimatorSpec(kind), seed=0)
+    assert np.isfinite(res.est).all()
+    assert res.within_bounds
+    assert res.flags == ""  # no jitter events, no qp_fail, no bounds flag
