@@ -405,9 +405,36 @@ def _averaged_row(sc: Scenario, sweep: str, knob, spec: EstimatorSpec,
     }
 
 
-def _cell_job(args) -> dict:
-    sc, sweep, knob, spec, truth, cell = args
-    return _averaged_row(sc, sweep, knob, spec, truth, cell)
+def _claim_cells(tasks, counter) -> list[tuple[int, dict]]:
+    """Run the next unclaimed cell of ``tasks`` until none is left, and
+    return the (index, row) pairs this process ran.  A cell that raises
+    ends every process's claims, as the first failing cell ends a serial
+    sweep."""
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value += 1
+        if i >= len(tasks):
+            return done
+        try:
+            done.append((i, _averaged_row(*tasks[i])))
+        except BaseException:
+            with counter.get_lock():
+                counter.value = len(tasks)
+            raise
+
+
+_inherited = None  # a forked sweep worker's (tasks, counter)
+
+
+def _inherit(tasks, counter) -> None:
+    global _inherited
+    _inherited = tasks, counter
+
+
+def _drain() -> list[tuple[int, dict]]:
+    return _claim_cells(*_inherited)
 
 
 def _sweep(sc: Scenario, name: str, cells, truth: TruthResult | None,
@@ -416,27 +443,34 @@ def _sweep(sc: Scenario, name: str, cells, truth: TruthResult | None,
     spec (``sc.estimators`` unless given), optionally across ``jobs``
     processes; the truth is generated from ``sc`` when not given.
 
-    With ``jobs`` > 1 this process is one of them: it forks ``jobs - 1``
-    workers, which take cells from the front of the list, and runs cells
-    itself from the back until the two meet, rather than fork one more
-    copy of itself and wait.  Rows come back in cell order either way, so
-    the output is deterministic regardless of worker scheduling.
+    With ``jobs`` > 1 this process is one of them and forks ``jobs - 1``
+    workers.  Every process claims the next unclaimed cell, in list order,
+    from one shared counter, runs it and claims again until no cell is
+    left, so an idle process always takes the next cell (greedy list
+    scheduling, Graham 1969).  Nothing is handed out ahead: a pool that
+    queues cells for its workers lets one worker hold cells that an idle
+    caller cannot take back.  The workers inherit the cells and the
+    counter at the fork, so no cell is pickled.  Rows come back in cell
+    order, so the output does not depend on which process ran a cell.
     """
     truth = truth if truth is not None else generate_truth(sc)
     specs = sc.estimators if specs is None else specs
     tasks = [(sc, name, knob, spec, truth, cell)
              for knob, cell in cells for spec in specs]
     if jobs <= 1 or len(tasks) <= 1:
-        return [_cell_job(t) for t in tasks]
+        return [_averaged_row(*t) for t in tasks]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    rows = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)) - 1) as ex:
-        futures = [ex.submit(_cell_job, t) for t in tasks]
-        for i in reversed(range(len(tasks))):
-            if futures[i].cancel():  # no worker has taken it yet
-                rows[i] = _cell_job(tasks[i])
-        return [f.result() if row is None else row
-                for row, f in zip(rows, futures)]
+    fork = multiprocessing.get_context("fork")
+    counter = fork.Value("i", 0)
+    workers = min(jobs, len(tasks)) - 1
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit,
+                             initargs=(tasks, counter)) as ex:
+        drains = [ex.submit(_drain) for _ in range(workers)]
+        rows = dict(_claim_cells(tasks, counter))
+        for f in drains:
+            rows.update(f.result())
+    return [rows[i] for i in range(len(tasks))]
 
 
 def _period_knob(period):

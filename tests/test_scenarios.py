@@ -1,14 +1,18 @@
 """Twin-experiment machinery: truth generation, scoring, estimation runs
 and the four sweep drivers."""
+import faulthandler
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import arzest.scenarios as scenarios
+from arzest.kalman import EstimatorError
 from arzest.model import (
     ModelParams,
     StepDiagnostics,
@@ -428,6 +432,105 @@ def test_pooled_sweep_shares_cells_with_the_caller(monkeypatch):
     assert [r["knob"] for r in rows] == list(range(8))
     pids = {r["pid"] for r in rows}
     assert os.getpid() in pids and len(pids) == 2
+
+
+@pytest.fixture
+def deadline():
+    """End the test run with a traceback dump if a sweep hangs."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def _logged_rows(monkeypatch, tmp_path, seconds):
+    """Patch ``_averaged_row`` with a fake that sleeps ``seconds(knob)``
+    and logs a ``knob pid`` line per cell run; return the log's path."""
+    log = tmp_path / "cells.log"
+
+    def fake_row(sc, sweep, knob, spec, truth, cell):
+        time.sleep(seconds(knob))
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{knob} {os.getpid()}\n")
+        return {"knob": knob}
+
+    monkeypatch.setattr(scenarios, "_averaged_row", fake_row)
+    return log
+
+
+def _cells_run(log) -> list[tuple[int, int]]:
+    return [tuple(map(int, line.split()))
+            for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+def test_pooled_sweep_gives_a_slow_cell_its_own_process(monkeypatch,
+                                                        tmp_path):
+    """Cell 0 takes longer than the seven others together.  No cell is
+    queued ahead for the process that claims it, so the other process
+    claims all the rest while it runs."""
+    log = _logged_rows(monkeypatch, tmp_path,
+                       lambda knob: 0.6 if knob == 0 else 0.05)
+    sc = _small(t_f=5)
+    rows = sweep_noise(sc, stds=tuple(range(8)), truth=generate_truth(sc),
+                       jobs=2)
+    assert [r["knob"] for r in rows] == list(range(8))
+    ran = _cells_run(log)
+    assert sorted(knob for knob, _ in ran) == list(range(8))
+    slow_pid = dict(ran)[0]
+    assert [knob for knob, pid in ran if pid == slow_pid] == [0]
+
+
+def test_pooled_sweep_runs_every_cell_once(monkeypatch, tmp_path, deadline):
+    """More processes than cores claim 48 short cells from the shared
+    counter; a lost update would run a cell twice."""
+    log = _logged_rows(monkeypatch, tmp_path, lambda knob: 0.002)
+    sc = _small(t_f=5)
+    rows = sweep_noise(sc, stds=tuple(range(48)), truth=generate_truth(sc),
+                       jobs=4)
+    assert [r["knob"] for r in rows] == list(range(48))
+    assert sorted(knob for knob, _ in _cells_run(log)) == list(range(48))
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_sweep_raises_a_workers_error(monkeypatch, deadline):
+    """A worker's cell runs the real UKF on a 2-cell network (n_x 4), which
+    it refuses; the caller, whose own cells are slow fakes, raises the same
+    error and claims no cell after it."""
+    real_row, caller, ran = scenarios._averaged_row, os.getpid(), []
+
+    def row(sc, sweep, knob, spec, truth, cell):
+        if os.getpid() != caller:
+            return real_row(sc, sweep, knob, spec, truth, cell)
+        ran.append(knob)
+        time.sleep(0.5)
+        return {"knob": knob}
+
+    monkeypatch.setattr(scenarios, "_averaged_row", row)
+    params, topo = paper_params(), Topology(2)
+    sc = Scenario("two-cell", params, topo, 5,
+                  constant_inputs(topo, 5, 2000.0, params.v_f, 30.0),
+                  SensorSchedule(fixed_segments=(2,)), 1.0, seeds=(0,),
+                  estimators=(EstimatorSpec("ukf"),), warmup_steps=5)
+    with pytest.raises(EstimatorError, match="kappa > -n_x"):
+        sweep_noise(sc, stds=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0), jobs=2)
+    assert len(ran) <= 1  # its own first cell at most
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_sweep_raises_when_a_worker_dies(monkeypatch, deadline):
+    caller = os.getpid()
+
+    def row(sc, sweep, knob, spec, truth, cell):
+        if os.getpid() != caller:
+            os._exit(1)
+        time.sleep(0.1)
+        return {"knob": knob}
+
+    monkeypatch.setattr(scenarios, "_averaged_row", row)
+    sc = _small(t_f=5)
+    with pytest.raises(BrokenProcessPool):
+        sweep_noise(sc, stds=tuple(range(8)), truth=generate_truth(sc),
+                    jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_write_sweep_csv(tmp_path):

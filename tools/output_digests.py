@@ -67,6 +67,14 @@ def digests(t_f: int = 500) -> dict[str, str]:
                      ("noise-sweep", sweep)):
         truth = az.generate_truth(sc)
         out[f"truth {name}"] = _sha(truth.traj, truth.obs)
+    # Serial and pooled rows of one sweep, without the timing column.
+    sweep = replace(sweep, seeds=(0,),
+                    estimators=tuple(az.EstimatorSpec(k) for k in KINDS))
+    for jobs in (1, 2):
+        rows = az.sweep_noise(sweep, stds=(40.0, 0.0), jobs=jobs)
+        out[f"sweep noise-sweep jobs {jobs}"] = _sha(*(
+            [(k, v) for k, v in r.items() if k != "mean_step_time_s"]
+            for r in rows))
     truth = az.generate_truth(ref)
     for noise in (1.0, 40.0):
         for kind in KINDS:
