@@ -26,6 +26,7 @@ import contextlib
 import csv
 import json
 import math
+import multiprocessing
 import sys
 
 import numpy as np
@@ -478,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", required=True)
     p.add_argument("--jobs", type=int, default=1,
                    help="processes for sweep cells, this one included "
-                        "(default 1)")
+                        "(default 1; more than 1 needs the fork start "
+                        "method)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gramian",
@@ -501,6 +503,11 @@ def main(argv=None) -> int:
         if value is not None and value < least:
             print(f"error: --{name} must be {kind} integer", file=sys.stderr)
             return EXIT_CONFIG
+    if (getattr(args, "jobs", 1) > 1
+            and "fork" not in multiprocessing.get_all_start_methods()):
+        print("error: --jobs above 1 needs the fork start method, which "
+              "this platform lacks", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

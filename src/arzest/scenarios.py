@@ -405,32 +405,42 @@ def _averaged_row(sc: Scenario, sweep: str, knob, spec: EstimatorSpec,
     }
 
 
-def _claim_cells(tasks, counter) -> list[tuple[int, dict]]:
-    """Run the next unclaimed cell of ``tasks`` until none is left, and
-    return the (index, row) pairs this process ran.  A cell that raises
-    ends every process's claims, as the first failing cell ends a serial
-    sweep."""
+def _claim_cells(tasks, claims, from_back=False) -> list[tuple[int, dict]]:
+    """Run unclaimed cells of ``tasks`` until none is left, and return the
+    (index, row) pairs this process ran.  ``claims`` is the shared pair
+    (lo, hi) that bounds the unclaimed cells: workers take the cell at
+    ``lo``, the caller (``from_back``) the one below ``hi``.  A cell that
+    raises ends every process's claims, as the first failing cell ends a
+    serial sweep."""
     done = []
     while True:
-        with counter.get_lock():
-            i = counter.value
-            counter.value += 1
-        if i >= len(tasks):
-            return done
+        with claims.get_lock():
+            if claims[0] >= claims[1]:
+                return done
+            if from_back:
+                claims[1] -= 1
+                i = claims[1]
+            else:
+                i = claims[0]
+                claims[0] += 1
         try:
             done.append((i, _averaged_row(*tasks[i])))
         except BaseException:
-            with counter.get_lock():
-                counter.value = len(tasks)
+            _end_claims(claims)
             raise
 
 
-_inherited = None  # a forked sweep worker's (tasks, counter)
+def _end_claims(claims) -> None:
+    with claims.get_lock():
+        claims[0] = claims[1]
 
 
-def _inherit(tasks, counter) -> None:
+_inherited = None  # a forked sweep worker's (tasks, claims)
+
+
+def _inherit(tasks, claims) -> None:
     global _inherited
-    _inherited = tasks, counter
+    _inherited = tasks, claims
 
 
 def _drain() -> list[tuple[int, dict]]:
@@ -444,14 +454,20 @@ def _sweep(sc: Scenario, name: str, cells, truth: TruthResult | None,
     processes; the truth is generated from ``sc`` when not given.
 
     With ``jobs`` > 1 this process is one of them and forks ``jobs - 1``
-    workers.  Every process claims the next unclaimed cell, in list order,
-    from one shared counter, runs it and claims again until no cell is
-    left, so an idle process always takes the next cell (greedy list
-    scheduling, Graham 1969).  Nothing is handed out ahead: a pool that
-    queues cells for its workers lets one worker hold cells that an idle
-    caller cannot take back.  The workers inherit the cells and the
-    counter at the fork, so no cell is pickled.  Rows come back in cell
-    order, so the output does not depend on which process ran a cell.
+    workers, so it needs the ``fork`` start method (POSIX; fork after
+    numpy has loaded its BLAS is not safe on macOS).  The workers claim
+    cells one at a time from the front of the list and this process from
+    the back, under one lock, until the two meet: an idle process always
+    takes the next cell at its end (greedy list scheduling, Graham 1969).
+    Nothing is handed out ahead, since a pool that queues cells for its
+    workers lets one worker hold cells that an idle caller cannot take
+    back.  Claiming from both ends keeps a slow cell at either end of the
+    list from being claimed last; ascending knobs put theirs at the end.
+    Once any worker's drain ends, by running out of cells, by an error
+    or by the worker's death, no more cells are claimed.  The workers
+    inherit the cells at the fork, so no cell is pickled.  Rows come back
+    in cell order, so the output does not depend on which process ran a
+    cell.
     """
     truth = truth if truth is not None else generate_truth(sc)
     specs = sc.estimators if specs is None else specs
@@ -462,12 +478,14 @@ def _sweep(sc: Scenario, name: str, cells, truth: TruthResult | None,
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     fork = multiprocessing.get_context("fork")
-    counter = fork.Value("i", 0)
+    claims = fork.Array("i", (0, len(tasks)))
     workers = min(jobs, len(tasks)) - 1
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit,
-                             initargs=(tasks, counter)) as ex:
+                             initargs=(tasks, claims)) as ex:
         drains = [ex.submit(_drain) for _ in range(workers)]
-        rows = dict(_claim_cells(tasks, counter))
+        for f in drains:
+            f.add_done_callback(lambda _: _end_claims(claims))
+        rows = dict(_claim_cells(tasks, claims, from_back=True))
         for f in drains:
             rows.update(f.result())
     return [rows[i] for i in range(len(tasks))]

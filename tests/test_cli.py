@@ -249,6 +249,16 @@ def test_smooth_and_jobs_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_jobs_above_one_need_fork(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert cli.main(["sweep", "--config", _small_cfg(tmp_path),
+                     "--sweep", "noise", "--out", str(tmp_path / "x.csv"),
+                     "--jobs", "2"]) == 2
+    assert "fork start method" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"duration_s": 10 ** 400}, "configuration.duration_s"),
     ({"inputs": {"ramp_demand_veh_h": [600.0, 10 ** 400]}},

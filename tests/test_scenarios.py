@@ -442,13 +442,21 @@ def deadline():
     faulthandler.cancel_dump_traceback_later()
 
 
-def _logged_rows(monkeypatch, tmp_path, seconds):
-    """Patch ``_averaged_row`` with a fake that sleeps ``seconds(knob)``
-    and logs a ``knob pid`` line per cell run; return the log's path."""
+def _wait_for(condition, seconds=10.0) -> None:
+    """Poll ``condition`` until it holds or ``seconds`` have passed."""
+    end = time.monotonic() + seconds
+    while not condition() and time.monotonic() < end:
+        time.sleep(0.005)
+
+
+def _logged_rows(monkeypatch, tmp_path, before):
+    """Patch ``_averaged_row`` with a fake that calls ``before(knob, log)``
+    and then logs a ``knob pid`` line per cell run; return the log's
+    path."""
     log = tmp_path / "cells.log"
 
     def fake_row(sc, sweep, knob, spec, truth, cell):
-        time.sleep(seconds(knob))
+        before(knob, log)
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{knob} {os.getpid()}\n")
         return {"knob": knob}
@@ -458,31 +466,59 @@ def _logged_rows(monkeypatch, tmp_path, seconds):
 
 
 def _cells_run(log) -> list[tuple[int, int]]:
+    if not log.exists():
+        return []
     return [tuple(map(int, line.split()))
             for line in log.read_text(encoding="utf-8").splitlines()]
 
 
+def _ended_claims(monkeypatch, tmp_path):
+    """Make ``_end_claims`` touch a file once the claims are ended, in
+    whichever process ends them; return the file's path."""
+    ended, real_end = tmp_path / "claims-ended", scenarios._end_claims
+
+    def end(claims):
+        real_end(claims)
+        ended.touch()
+
+    monkeypatch.setattr(scenarios, "_end_claims", end)
+    return ended
+
+
+@pytest.mark.parametrize("slow", [0, 7])
 def test_pooled_sweep_gives_a_slow_cell_its_own_process(monkeypatch,
-                                                        tmp_path):
-    """Cell 0 takes longer than the seven others together.  No cell is
-    queued ahead for the process that claims it, so the other process
-    claims all the rest while it runs."""
-    log = _logged_rows(monkeypatch, tmp_path,
-                       lambda knob: 0.6 if knob == 0 else 0.05)
+                                                        tmp_path, deadline,
+                                                        slow):
+    """The slow cell, first or last in the list, runs until the seven
+    others have run; every other cell waits until it has started.  No
+    cell is queued ahead for the process that runs it, so the other
+    process runs all the rest, whichever end the slow cell sits at."""
+    started = tmp_path / "slow-cell-started"
+
+    def before(knob, log):
+        if knob == slow:
+            started.touch()
+            _wait_for(lambda: len(_cells_run(log)) == 7)
+        else:
+            _wait_for(started.exists)
+
+    log = _logged_rows(monkeypatch, tmp_path, before)
     sc = _small(t_f=5)
     rows = sweep_noise(sc, stds=tuple(range(8)), truth=generate_truth(sc),
                        jobs=2)
     assert [r["knob"] for r in rows] == list(range(8))
     ran = _cells_run(log)
     assert sorted(knob for knob, _ in ran) == list(range(8))
-    slow_pid = dict(ran)[0]
-    assert [knob for knob, pid in ran if pid == slow_pid] == [0]
+    slow_pid = dict(ran)[slow]
+    assert [knob for knob, pid in ran if pid == slow_pid] == [slow]
+    assert multiprocessing.active_children() == []
 
 
 def test_pooled_sweep_runs_every_cell_once(monkeypatch, tmp_path, deadline):
     """More processes than cores claim 48 short cells from the shared
-    counter; a lost update would run a cell twice."""
-    log = _logged_rows(monkeypatch, tmp_path, lambda knob: 0.002)
+    claims; a lost update would run a cell twice."""
+    log = _logged_rows(monkeypatch, tmp_path,
+                       lambda knob, log: time.sleep(0.002))
     sc = _small(t_f=5)
     rows = sweep_noise(sc, stds=tuple(range(48)), truth=generate_truth(sc),
                        jobs=4)
@@ -491,17 +527,19 @@ def test_pooled_sweep_runs_every_cell_once(monkeypatch, tmp_path, deadline):
     assert multiprocessing.active_children() == []
 
 
-def test_pooled_sweep_raises_a_workers_error(monkeypatch, deadline):
+def test_pooled_sweep_raises_a_workers_error(monkeypatch, tmp_path,
+                                            deadline):
     """A worker's cell runs the real UKF on a 2-cell network (n_x 4), which
-    it refuses; the caller, whose own cells are slow fakes, raises the same
-    error and claims no cell after it."""
+    it refuses; the caller, whose own first cell lasts until the claims
+    have ended, raises the same error and claims no cell after it."""
     real_row, caller, ran = scenarios._averaged_row, os.getpid(), []
+    ended = _ended_claims(monkeypatch, tmp_path)
 
     def row(sc, sweep, knob, spec, truth, cell):
         if os.getpid() != caller:
             return real_row(sc, sweep, knob, spec, truth, cell)
         ran.append(knob)
-        time.sleep(0.5)
+        _wait_for(ended.exists)
         return {"knob": knob}
 
     monkeypatch.setattr(scenarios, "_averaged_row", row)
@@ -512,17 +550,23 @@ def test_pooled_sweep_raises_a_workers_error(monkeypatch, deadline):
                   estimators=(EstimatorSpec("ukf"),), warmup_steps=5)
     with pytest.raises(EstimatorError, match="kappa > -n_x"):
         sweep_noise(sc, stds=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0), jobs=2)
-    assert len(ran) <= 1  # its own first cell at most
+    assert ran == [5.0]  # its own first cell, from the back
     assert multiprocessing.active_children() == []
 
 
-def test_pooled_sweep_raises_when_a_worker_dies(monkeypatch, deadline):
-    caller = os.getpid()
+def test_pooled_sweep_raises_when_a_worker_dies(monkeypatch, tmp_path,
+                                                deadline):
+    """The worker's first cell kills it.  The caller's first cell lasts
+    until the dead worker has ended the claims; the sweep then raises
+    without the caller running the cells that are left."""
+    caller, ran = os.getpid(), []
+    ended = _ended_claims(monkeypatch, tmp_path)
 
     def row(sc, sweep, knob, spec, truth, cell):
         if os.getpid() != caller:
             os._exit(1)
-        time.sleep(0.1)
+        ran.append(knob)
+        _wait_for(ended.exists)
         return {"knob": knob}
 
     monkeypatch.setattr(scenarios, "_averaged_row", row)
@@ -530,6 +574,7 @@ def test_pooled_sweep_raises_when_a_worker_dies(monkeypatch, deadline):
     with pytest.raises(BrokenProcessPool):
         sweep_noise(sc, stds=tuple(range(8)), truth=generate_truth(sc),
                     jobs=2)
+    assert ran == [7]
     assert multiprocessing.active_children() == []
 
 
