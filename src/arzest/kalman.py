@@ -8,6 +8,7 @@ quantities live on the veh/km scale; Q = q I and R = r I apply there.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ from .model import (
     ModelParams,
     Topology,
     _box_and_scale,
+    _clip,
     _update,
     measure_h,
     step_batch,
@@ -76,8 +78,9 @@ class EstimatorState:
 
 
 def project_to_bounds(x, lo, hi) -> np.ndarray:
-    """Clip a state (or a batch of states in rows) into the physical box."""
-    return np.clip(x, lo, hi)
+    """Clip a state (or a batch of states in rows) into the physical box,
+    given as arrays: ``np.clip(x, lo, hi)`` bit for bit (``model._clip``)."""
+    return _clip(x, lo, hi)
 
 
 def init_state(x0, cfg: EstimatorConfig, topo: Topology, params: ModelParams,
@@ -87,9 +90,9 @@ def init_state(x0, cfg: EstimatorConfig, topo: Topology, params: ModelParams,
     if kind == "enkf":
         if rng is None:
             rng = np.random.default_rng(0)
-        lo, hi, d = _box_and_scale(topo, params)
+        lo, hi, d, _ = _box_and_scale(topo, params)
         n = x0.size
-        pert = rng.standard_normal((cfg.ensemble_size, n)) * np.sqrt(cfg.p0)
+        pert = rng.standard_normal((cfg.ensemble_size, n)) * math.sqrt(cfg.p0)
         ens = project_to_bounds(x0 + pert * d, lo, hi)
         return EstimatorState(x=x0.copy(), ensemble=ens)
     P = cfg.p0 * _eye(x0.size)
@@ -115,12 +118,12 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     ``u`` drove the transition into the newly measured state; an empty
     selector (zero rows) makes the update a 0 x 0 solve: a pure prediction.
     """
-    lo, hi, d = _box_and_scale(topo, params)
+    lo, hi, d, ratio = _box_and_scale(topo, params)
     n = state.x.size
 
     lin = linearize_model(state.x, u, topo, params)
     # Similarity-transform the affine model into the scaled space.
-    As = lin.A_tilde * (d[None, :] / d[:, None])
+    As = lin.A_tilde * ratio
     # The nonlinear prediction step(x, u), from the flux the linearization
     # already evaluated at x.
     x_pred = _update(state.x, lin.f0, topo, params)
@@ -159,7 +162,9 @@ def _gain(S: np.ndarray, B: np.ndarray, state: EstimatorState) -> np.ndarray:
     another kernel.  The filters' B has one column per state.)  Only where
     the bound cannot clear S, or the LU finds it singular, does the SVD
     run, through ``_jittered``, which counts its ridge escalations in
-    ``state`` and refuses a non-finite S.
+    ``state`` and refuses a non-finite S.  The three Frobenius norms are
+    ``_fro``: ``np.linalg.norm``'s own formula, bit for bit, without that
+    function's Python-level dispatch.
     """
     k, m = B.shape
     try:
@@ -168,10 +173,16 @@ def _gain(S: np.ndarray, B: np.ndarray, state: EstimatorState) -> np.ndarray:
         pass  # exactly singular in the LU: the SVD decides
     else:
         X = Z[:, m:]
-        if (np.linalg.norm(S) * np.linalg.norm(X) <= 5e11
-                and np.linalg.norm(S @ X - _eye(k)) <= 0.5):
+        if (_fro(S) * _fro(X) <= 5e11 and _fro(S @ X - _eye(k)) <= 0.5):
             return Z[:, :m].copy()
     return np.linalg.solve(_jittered(S, state), B)
+
+
+def _fro(M: np.ndarray) -> float:
+    """``np.linalg.norm(M)``, the Frobenius norm, by that function's own
+    formula: the square root of the raveled matrix's dot product."""
+    v = M.ravel(order="K")
+    return math.sqrt(v @ v)
 
 
 def _jittered(S: np.ndarray, state: EstimatorState) -> np.ndarray:
@@ -216,7 +227,7 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     Sigma points are drawn in the scaled space, projected into the physical
     box, then pushed through the nonlinear update and measurement maps.
     """
-    lo, hi, d = _box_and_scale(topo, params)
+    lo, hi, d, _ = _box_and_scale(topo, params)
     n = state.x.size
     lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
     if n + lam <= 0:
@@ -239,14 +250,15 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
 
     x_pred_s = wm @ prop
     dev = prop - x_pred_s
-    P_pred = _sym((dev.T * wc) @ dev + cfg.q * _eye(n))
+    dev_w = dev.T * wc
+    P_pred = _sym(dev_w @ dev + cfg.q * _eye(n))
 
     C_sel = np.asarray(C_sel, dtype=float)
     Y = measure_h(prop * d[None, :], params) @ C_sel.T
     y_pred = wm @ Y
     dy = Y - y_pred
     S = (dy.T * wc) @ dy + cfg.r * _eye(C_sel.shape[0])
-    P_xy = (dev.T * wc) @ dy
+    P_xy = dev_w @ dy
     K = _gain(S, P_xy.T, state).T
     x_new_s = x_pred_s + K @ (np.asarray(y, dtype=float) - y_pred)
     x_new = project_to_bounds(x_new_s * d, lo, hi)
@@ -259,13 +271,13 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
               topo: Topology, params: ModelParams,
               rng: np.random.Generator) -> EstimatorState:
     """Stochastic ensemble Kalman step with perturbed observations."""
-    lo, hi, d = _box_and_scale(topo, params)
+    lo, hi, d, _ = _box_and_scale(topo, params)
     n = state.x.size
     M = state.ensemble.shape[0]
 
     ens = step_batch(state.ensemble, u, topo, params)
     if cfg.q > 0:
-        ens = ens + rng.standard_normal((M, n)) * np.sqrt(cfg.q) * d
+        ens = ens + rng.standard_normal((M, n)) * math.sqrt(cfg.q) * d
         ens = project_to_bounds(ens, lo, hi)
 
     C_sel = np.asarray(C_sel, dtype=float)
@@ -273,21 +285,21 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
         n_p = C_sel.shape[0]
         Y = measure_h(ens, params) @ C_sel.T
         ens_s = ens / d
-        xm_s = ens_s.mean(axis=0)
-        ym = Y.mean(axis=0)
+        xm_s = np.add.reduce(ens_s, axis=0) / M
+        ym = np.add.reduce(Y, axis=0) / M
         Xdev = ens_s - xm_s
         Ydev = Y - ym
         P_xy = Xdev.T @ Ydev / (M - 1)
         P_yy = Ydev.T @ Ydev / (M - 1) + cfg.r * _eye(n_p)
         K = _gain(P_yy, P_xy.T, state).T
         y = np.asarray(y, dtype=float)
-        half = np.sqrt(3.0 * cfg.r)
+        half = math.sqrt(3.0 * cfg.r)
         # Observation perturbations mirror the uniform measurement noise.
         pert = rng.uniform(-half, half, (M, n_p))
         ens_s = ens_s + (y + pert - Y) @ K.T
         ens = project_to_bounds(ens_s * d, lo, hi)
 
-    x_new = project_to_bounds(ens.mean(axis=0), lo, hi)
+    x_new = project_to_bounds(np.add.reduce(ens, axis=0) / M, lo, hi)
     return EstimatorState(x_new, ensemble=ens, k=state.k + 1,
                           jitter_events=state.jitter_events)
 

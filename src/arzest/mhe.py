@@ -35,13 +35,14 @@ elimination is positive definite, whatever the sensor layout.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linearize import linearize_measurement, linearize_model
-from .model import ModelParams, Topology, _box_and_scale, step
+from .model import ModelParams, Topology, _box_and_scale, _clip, step
 
 __all__ = [
     "MheConfig",
@@ -250,7 +251,8 @@ def operating_point(prev_window) -> np.ndarray:
     states or as one (n_blocks, n_x) array."""
     if len(prev_window) == 0:
         raise ValueError("previous window is empty")
-    return np.mean(np.asarray(prev_window), axis=0)
+    blocks = np.asarray(prev_window, dtype=float)
+    return np.add.reduce(blocks, axis=0) / len(blocks)
 
 
 def predict_arrival(x_prev, u_prev, topo: Topology, params: ModelParams) -> np.ndarray:
@@ -412,7 +414,7 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
     D, E, q, lo, hi = qp.D, qp.E, qp.q, qp.z_min, qp.z_max
     if z0 is None:
         z0 = _solve_blocks(D, E, -0.5 * q)
-    z = np.clip(np.asarray(z0, dtype=float), lo, hi)
+    z = _clip(np.asarray(z0, dtype=float), lo, hi)
     hist, it, abs_band = [], 0, None
     while True:
         Hz = _band_matvec(D, E, z)
@@ -431,7 +433,8 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
         if converged or it >= max_iter:
             break
         it += 1
-        eps = min(NEWTON_EPS, float(np.linalg.norm(z - np.clip(z - g, lo, hi))))
+        dz = z - _clip(z - g, lo, hi)
+        eps = min(NEWTON_EPS, math.sqrt(dz @ dz))
         held = ((z <= lo + eps) & (g > 0.0)) | ((z >= hi - eps) & (g < 0.0))
         free = ~held
         # Decouple the held coordinates: with their rows and columns zeroed
@@ -444,7 +447,7 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
         slope = -float(g[free] @ d[free])
         a = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            z_new = np.clip(z + a * d, lo, hi)
+            z_new = _clip(z + a * d, lo, hi)
             s = z_new - z
             # f(z + s) - f(z) = s'Hs + g's, free of the cancellation between
             # two large objective values.
@@ -489,7 +492,8 @@ class MheSession:
         self.topo = topo
         self.params = params
         self.x0 = np.asarray(x0, dtype=float).copy()
-        self._lo, self._hi, self._d = _box_and_scale(topo, params)
+        self._lo, self._hi, self._d, self._ratio = _box_and_scale(
+            topo, params)
         self._lo_s = self._lo / self._d
         self._hi_s = self._hi / self._d
         self.buffer = HorizonBuffer(cfg.horizon)
@@ -521,7 +525,7 @@ class MheSession:
         lin, arrival = self._transition(x_o, u, self._window[-1])
         lm = self._meas(x_o, np.asarray(C_sel, dtype=float))
         d = self._d
-        A_s = lin.A_tilde * (d[None, :] / d[:, None])
+        A_s = lin.A_tilde * self._ratio
         B_s = lin.B / d[:, None]
         c1_s = lin.c1 / d
         C_s = lm.C_tilde * d[None, :]
@@ -547,5 +551,5 @@ class MheSession:
             self.failed_solves += 1
         blocks = z.reshape(qp.n_blocks, qp.n_x) * self._d
         # Rescaling to natural units can brush a bound by one ulp.
-        self._window = np.clip(blocks, self._lo, self._hi)
+        self._window = _clip(blocks, self._lo, self._hi)
         return self._window[-1].copy()

@@ -29,7 +29,7 @@ kernel" below for what a single state costs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -85,6 +85,14 @@ class BlowupError(ModelError):
         super().__init__(f"non-finite state at index {index}: {value!r}")
 
 
+def _hash_fields(obj) -> int:
+    """The hash a frozen dataclass computes from its fields on every call.
+    ``ModelParams`` and ``Topology`` key the per-network caches that the
+    estimators look up every step, so they compute it once per instance
+    and keep it; equal instances still hash equal."""
+    return hash(tuple(getattr(obj, f.name) for f in fields(obj)))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and numerical parameters shared by every cell.
@@ -118,6 +126,11 @@ class ModelParams:
             raise ModelError(
                 f"CFL violated: v_f*T/l = {self.v_f * self.T / self.l:.4f} > 1"
             )
+
+    def __hash__(self):
+        return self._fields_hash
+
+    _fields_hash = cached_property(_hash_fields)
 
 
 @dataclass(frozen=True)
@@ -173,6 +186,11 @@ class Topology:
             if b in used:
                 raise ModelError(f"two ramps share mainline boundary {b}")
             used.add(b)
+
+    def __hash__(self):
+        return self._fields_hash
+
+    _fields_hash = cached_property(_hash_fields)
 
     @property
     def n_onramps(self) -> int:
@@ -242,12 +260,28 @@ def state_scale(topo: Topology, params: ModelParams) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _box_and_scale(topo: Topology, params: ModelParams):
-    """``state_bounds`` and ``state_scale`` as ``(lo, hi, d)``, built once
-    per network and read-only, for code that reads them every step."""
-    arrays = (*state_bounds(topo, params), state_scale(topo, params))
+    """``(lo, hi, d, ratio)``: ``state_bounds``, ``state_scale`` and the
+    factor ``ratio = d[None, :] / d[:, None]`` that takes a state matrix
+    into the scaled space elementwise (``A * ratio`` is ``D^-1 A D``).
+    Built once per network, keyed on the equal-hashing ``(topo, params)``,
+    and read-only, for code that reads them every step."""
+    lo, hi = state_bounds(topo, params)
+    d = state_scale(topo, params)
+    arrays = (lo, hi, d, d[None, :] / d[:, None])
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _clip(x, lo, hi):
+    """``np.clip(x, lo, hi)`` for one state or a population of states
+    (rows) and bounds along the state axis, bit for bit, signed zeros
+    included, without that function's Python-level dispatch.  The two
+    differ where ``np.clip`` runs its scalar-bound loop: for a scalar
+    bound, or a population of one-entry states, it keeps a ``-0.0`` at a
+    bound of 0 where ``np.maximum`` returns ``0.0``.  No state has fewer
+    than two entries."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +332,10 @@ def _sigma(w, v_f, rho_m, gamma):
     return rho_m * (np.maximum(w, 0.0) / (v_f * (1.0 + gamma))) ** (1.0 / gamma)
 
 
-def _demand(rho, w, v_f, rho_m, gamma):
+def _demand(rho, w, v_f, rho_m, gamma, out=None):
     # An empty cell or a non-positive w gives r = 0 and so no demand.
     r = np.minimum(np.maximum(rho, 0.0), _sigma(w, v_f, rho_m, gamma))
-    return np.maximum(r * (w - _p(r, v_f, rho_m, gamma)), 0.0)
+    return np.maximum(r * (w - _p(r, v_f, rho_m, gamma)), 0.0, out=out)
 
 
 def _supply(rho, w_up, v_f, rho_m, gamma):
@@ -551,12 +585,14 @@ def _inputs(u, topo: Topology) -> np.ndarray:
 # boundaries of all states rather than P loops of a dozen elements.  Each
 # segment's net flux is read back from its one inflow and one outflow
 # into a C-contiguous (..., n_x) result.  Every operation still pays
-# numpy's per-call overhead whatever the number of states.  On the 9-cell
-# reference network one state takes 63 us, 19 states (the MHE's stencil)
-# 86 us, 49 (the UKF's sigma points) 102 us and 100 (the EnKF's members)
-# 132 us, against 63, 100, 128 and 175 us with the states along the last
-# axis (fastest of 15 batches interleaved with the old kernel in one
-# process, one core of a 2-vCPU Xeon, numpy 2.4).  An element's result
+# numpy's per-call overhead whatever the number of states, and on the
+# estimators' sizes that overhead is most of the cost.  On the 9-cell
+# reference network ``_net_flux`` takes 54 us for one state, 64 us for 2,
+# 73 us for 19 (the MHE's stencil), 89 us for 49 (the UKF's sigma points)
+# and 112 us for 100 (the EnKF's members): about 63 us per call plus
+# 0.5 us per state, so the fixed per-call cost is all of a one-state call
+# and 56% of a 100-state one (fastest of 30 batches of 200 calls, one
+# core of a 2-vCPU Xeon, numpy 2.4, 1 BLAS thread).  An element's result
 # depends neither on how many states are evaluated with it, nor on their
 # values, nor on its column, so a one-state call equals its row of a
 # population bit for bit: the colored stencil relies on that to match the
@@ -600,11 +636,13 @@ def _junctions(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
     D_k = D_m[:R]
     tot = D_k + D_r
     live = tot > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(live, D_k / tot, 0.5)
-        rest = 1.0 - beta
-        c_k = np.minimum(np.where(beta > 0.0, D_k / beta, np.inf),
-                         np.where(beta < 1.0, D_r / rest, np.inf))
+    # Each quotient only where its divisor is positive, the fill elsewhere.
+    fill = np.empty((3,) + D_r.shape)
+    fill[0], fill[1:] = 0.5, np.inf
+    beta = np.divide(D_k, tot, out=fill[0], where=live)
+    rest = 1.0 - beta
+    c_k = np.minimum(np.divide(D_k, beta, out=fill[1], where=beta > 0.0),
+                     np.divide(D_r, rest, out=fill[2], where=beta < 1.0))
     a, w_bar = D_m.copy(), w_m.copy()
     a[:R] = c_k
     w_bar[:R] = beta * w_m[:R] + rest * w_r
@@ -635,15 +673,18 @@ def _flows(xt, ut, topo: Topology, params: ModelParams, ds_scale=None):
     inputs ``ut``, both as ``_population_major`` lays them out."""
     v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
     t = topo._boundaries
-    nseg = topo.n_segments
-    sc = (1.0 if ds_scale is None
-          else np.asarray(ds_scale, dtype=float)[_per_row(xt)])
+    nseg = len(xt) // 2
     rho, psi = xt[0::2], xt[1::2]
-    V = np.empty((4 * nseg + topo.n_u + 2,) + xt.shape[1:])
+    V = np.empty((4 * nseg + len(ut) + 2,) + xt.shape[1:])
     W = np.divide(psi, np.maximum(rho, EPS_RHO), out=V[nseg:2 * nseg])
-    V[:nseg] = sc * _demand(rho, W, v_f, rho_m, gamma)
+    _demand(rho, W, v_f, rho_m, gamma, out=V[:nseg])
     V[2 * nseg:3 * nseg] = rho
-    V[3 * nseg:4 * nseg] = sc
+    if ds_scale is None:
+        V[3 * nseg:4 * nseg] = 1.0
+    else:
+        sc = np.asarray(ds_scale, dtype=float)[_per_row(xt)]
+        V[:nseg] *= sc
+        V[3 * nseg:4 * nseg] = sc
     V[4 * nseg:-2] = ut
     V[-2] = 0.0
     V[-1] = 1.0
@@ -845,8 +886,8 @@ def _update(x, f, topo: Topology, params: ModelParams, margin=math.inf,
         # the first state index that is non-finite in any row
         r, i = min(np.argwhere(~np.isfinite(rows)), key=lambda ri: ri[1])
         raise BlowupError(int(i), float(rows[r, i]))
-    lo, hi, _ = _box_and_scale(topo, params)
-    clipped = np.clip(x_new, lo, hi)
+    lo, hi, _, _ = _box_and_scale(topo, params)
+    clipped = _clip(x_new, lo, hi)
     if diag is not None:
         diag.clamped += int(np.count_nonzero(clipped != x_new))
         diag.min_margin = min(diag.min_margin, float(np.min(margin)))

@@ -100,6 +100,39 @@ def test_project_to_bounds(topo, params):
     assert np.all(P[0] == lo) and np.all(P[1] == hi)
 
 
+def test_project_to_bounds_is_np_clip_bit_for_bit(topo, params):
+    """The projection replaces ``np.clip`` by ufuncs whose results could
+    in principle depend on numpy's loops, so pin it on the bytes: vectors
+    of 1 to 40 entries and populations of them (SIMD bodies and scalar
+    tails), with signed zeros, values at and beyond each bound and random
+    values, against the physical box and against random array bounds.
+    Populations have at least two columns, as every state does: over a
+    single column numpy runs the loop along the population with the bound
+    fixed, and ``np.clip``'s scalar-bound loop keeps a ``-0.0`` at 0."""
+    rng = np.random.default_rng(11)
+
+    def draws(lo, hi, shape):
+        pool = np.stack(np.broadcast_arrays(
+            0.0, -0.0, lo, hi, lo - 1.0, hi + 1.0, lo - 1e300, hi + 1e300,
+            np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+            rng.uniform(lo - 1.0, hi + 1.0, shape)))
+        pick = rng.integers(0, len(pool), shape)
+        return np.take_along_axis(pool, pick[None], axis=0)[0]
+
+    box = state_bounds(topo, params)
+    for n in range(1, 41):
+        lo = rng.uniform(-50.0, 0.0, n)
+        lo[::3] = 0.0
+        hi = lo + rng.uniform(0.0, 100.0, n)
+        phys = tuple(np.resize(b, n) for b in box)
+        for lo_, hi_ in ((lo, hi), phys):
+            shapes = [(n,)] + [(m, n) for m in (1, 2, 7, 49, 100) if n > 1]
+            for shape in shapes:
+                x = draws(lo_, hi_, shape)
+                assert (project_to_bounds(x, lo_, hi_).tobytes()
+                        == np.clip(x, lo_, hi_).tobytes()), (n, shape)
+
+
 def test_ekf_pure_prediction_matches_model(topo, params):
     x0 = _warmed(topo, params)
     u = _inputs(topo)

@@ -5,10 +5,12 @@ Reference numbers were computed independently from the closed-form
 expressions (see the inline formulas next to each literal) and frozen here.
 """
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from arzest.linearize import _relaxation
 from arzest.model import (
     EPS_RHO,
     BlowupError,
@@ -18,6 +20,7 @@ from arzest.model import (
     OnRamp,
     StepDiagnostics,
     Topology,
+    _box_and_scale,
     compute_fluxes,
     demand,
     equilibrium_speed,
@@ -429,3 +432,38 @@ def test_step_rejects_wrong_input_length(topo, params):
             step(x, bad, topo, params)
         with pytest.raises(ModelError, match="inputs"):
             step_batch(x[None, :], bad, topo, params)
+
+
+# ---------------------------------------------------------------------------
+# Per-network caches
+# ---------------------------------------------------------------------------
+
+
+def test_equal_networks_hash_equal_and_share_cached_arrays(topo, params):
+    """The per-network caches are keyed on equality: an equal but distinct
+    network and parameter set, built afresh or unpickled with its stored
+    hash, finds the same read-only arrays."""
+    twins = [
+        (Topology(topo.n_mainline, list(topo.on_ramps),
+                  list(topo.off_ramps)),
+         ModelParams(**{f: getattr(params, f) for f in
+                        ("v_f", "rho_m", "tau", "gamma", "T", "l")})),
+        pickle.loads(pickle.dumps((topo, params))),
+    ]
+    hash(topo), hash(params)  # the unpickled copies carry the stored hash
+    for topo2, params2 in twins:
+        assert topo2 is not topo and params2 is not params
+        assert topo2 == topo and params2 == params
+        assert hash(topo2) == hash(topo) and hash(params2) == hash(params)
+        pairs = [*zip(_box_and_scale(topo, params),
+                      _box_and_scale(topo2, params2)),
+                 (_relaxation(topo, params), _relaxation(topo2, params2))]
+        for a, b in pairs:
+            assert a is b and not a.flags.writeable
+    # Distinct parameters with the same state size get their own arrays.
+    other = ModelParams(v_f=90.0, rho_m=RHO_M, tau=20.0, gamma=GAMMA,
+                        T=1.0 / 3600.0, l=0.1)
+    ratio = _box_and_scale(topo, other)[3]
+    d = state_scale(topo, other)
+    assert ratio is not _box_and_scale(topo, params)[3]
+    assert ratio.tobytes() == (d[None, :] / d[:, None]).tobytes()

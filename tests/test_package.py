@@ -3,8 +3,27 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+
+import numpy as np
 
 import arzest
+from arzest import model
+from arzest.kalman import (
+    EstimatorConfig,
+    ekf_step,
+    enkf_step,
+    init_state,
+    ukf_step,
+)
+from arzest.mhe import MheConfig, MheSession
+from arzest.model import (
+    equilibrium_state,
+    measure_h,
+    pack_inputs,
+    step_batch,
+)
+from arzest.sensing import build_observation
 
 # Every name the package exported before ``__all__`` was built from the
 # module lists; none of them may disappear.
@@ -60,3 +79,55 @@ def test_every_estimator_runs_without_scipy():
                           timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["ekf", "ukf", "enkf", "mhe"]
+
+
+def test_estimator_steps_skip_numpy_python_wrappers(topo, params):
+    """Setting up and stepping every estimator once, and one
+    ``step_batch`` call, enter none of numpy's Python-level ``clip``,
+    ``mean``, ``linalg.norm``, ``errstate.__enter__`` or ``full_like`` from
+    the package's own code, and the network and parameters hash their
+    fields once each, however often the per-network caches look them up.
+    Calls are counted under ``sys.setprofile``, so the test repeats
+    exactly."""
+    banned = {"clip", "_clip", "mean", "_mean", "norm", "__enter__",
+              "full_like"}
+    numpy_dir = os.path.dirname(np.__file__)
+    package_dir = os.path.dirname(arzest.__file__)
+    entered, field_hashes = [], Counter()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code is model._hash_fields.__code__:
+            field_hashes[id(frame.f_locals["obj"])] += 1
+        elif code.co_name in banned and code.co_filename.startswith(numpy_dir):
+            caller = frame.f_back
+            # Skip numpy's dispatch layer (a Python wrapper before 1.25).
+            while caller.f_code.co_filename.endswith("overrides.py"):
+                caller = caller.f_back
+            if caller.f_code.co_filename.startswith(package_dir):
+                entered.append((code.co_name, caller.f_code.co_name))
+
+    x0 = equilibrium_state(topo, params, 40.0)
+    u = pack_inputs(topo, 3000.0, params.v_f, 40.0, (600.0,), (params.v_f,),
+                    (40.0, 40.0))
+    C = build_observation((2, 5, 9), topo)
+    y = C @ measure_h(x0, params)
+    cfg = EstimatorConfig()
+    rng = np.random.default_rng(0)
+    pop = np.stack([x0 * 0.9, x0, x0 * 1.1])
+    sys.setprofile(profile)
+    try:
+        states = {kind: init_state(x0, cfg, topo, params, kind, rng)
+                  for kind in ("ekf", "ukf", "enkf")}
+        session = MheSession(x0, MheConfig(), topo, params)
+        ekf_step(states["ekf"], u, y, C, cfg, topo, params)
+        ukf_step(states["ukf"], u, y, C, cfg, topo, params)
+        enkf_step(states["enkf"], u, y, C, cfg, topo, params, rng)
+        session.step(u, y, C)
+        step_batch(pop, u, topo, params)
+    finally:
+        sys.setprofile(None)
+    assert entered == []
+    assert field_hashes == {id(topo): 1, id(params): 1}

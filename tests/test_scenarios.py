@@ -4,6 +4,7 @@ import faulthandler
 import math
 import multiprocessing
 import os
+import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -417,6 +418,21 @@ def test_sweep_jobs_match_sequential():
             assert a["rmse_rho"] == b["rmse_rho"]
             assert a["rmse_v"] == b["rmse_v"]
             assert a["knob"] == b["knob"] and a["estimator"] == b["estimator"]
+
+
+def test_pooled_sweep_on_equal_copies_of_the_network():
+    """Equal copies of the network and parameters, unpickled with their
+    stored hashes, hit the per-network caches of the originals: the
+    pooled sweep over the copies gives the serial rows of the originals."""
+    sc = _small(t_f=20, seeds=(0, 1))
+    hash(sc.topo), hash(sc.params)
+    topo, params = pickle.loads(pickle.dumps((sc.topo, sc.params)))
+    truth = generate_truth(sc)
+    seq = sweep_noise(sc, stds=(0.0, 10.0), truth=truth, jobs=1)
+    par = sweep_noise(replace(sc, topo=topo, params=params),
+                      stds=(0.0, 10.0), truth=truth, jobs=2)
+    assert ([(r["knob"], r["rmse_rho"], r["rmse_v"]) for r in seq]
+            == [(r["knob"], r["rmse_rho"], r["rmse_v"]) for r in par])
 
 
 def test_pooled_sweep_shares_cells_with_the_caller(monkeypatch):
