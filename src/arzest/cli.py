@@ -9,13 +9,17 @@ Subcommands:
 * ``sweep``     run one of the four study sweeps and write its CSV
 * ``gramian``   report the observability check for the configured sensors
 
-Configuration is a JSON document (``--config``); every section is optional
-and falls back to ``scenarios.default_scenario`` (500 s, the MHE, seeds 0-4)
-with one exception: without a ``jam`` section there is no slowdown, where
-the reference twin slows cell 7 during steps 100-300.  Physical quantities
-in the file use seconds and metres (``step_s``, ``cell_m``, ``duration_s``);
-internally everything runs in hours and kilometres.  Unknown keys anywhere
-in the document and non-finite numbers are rejected so typos fail loudly.
+Configuration is a JSON document (``--config``).  Every section is
+optional; a value left out is the reference twin's, read from its owner in
+``scenarios``: the model parameters from ``paper_params``, the mainline and
+off-ramp split from ``paper_topology``, the feed, duration, noise and seeds
+from ``default_scenario``, the sensors from ``default_schedule`` and the
+jam scale from ``JamSpec``.  An empty document is thus the reference twin,
+except that it runs the MHE alone, its id is ``config`` and, without a
+``jam`` section, nothing slows down.  Physical quantities in the file use
+seconds and metres (``step_s``, ``cell_m``, ``duration_s``); internally
+everything runs in hours and kilometres.  Unknown keys anywhere in the
+document and non-finite numbers are rejected so typos fail loudly.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 """
@@ -31,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .kalman import EstimatorError
+from .kalman import _KINDS, EstimatorError
 from .linearize import linearize_measurement, linearize_model
 from .model import (
     BlowupError,
@@ -40,14 +44,16 @@ from .model import (
     OffRamp,
     OnRamp,
     Topology,
+    _box_and_scale,
     measure_h,
-    state_scale,
 )
 from .scenarios import (
+    _FEED,
     EstimatorSpec,
     JamSpec,
     Scenario,
     constant_inputs,
+    default_scenario,
     default_schedule,
     generate_truth,
     moving_average,
@@ -71,7 +77,8 @@ EXIT_RUNTIME = 3
 
 GRAMIAN_EIG_THRESHOLD = 1e-9
 
-ESTIMATOR_KINDS = ("ekf", "ukf", "enkf", "mhe")
+_SWEEPS = {"sensors": sweep_sensor_count, "rotation": sweep_rotation,
+           "spacing": sweep_spacing, "noise": sweep_noise}
 
 
 class ConfigError(Exception):
@@ -85,91 +92,92 @@ def _reject_unknown(obj: dict, allowed, where: str) -> None:
             f"unknown key(s) in {where}: {', '.join(sorted(extra))}")
 
 
-def _finite(val) -> float | None:
-    """A JSON number as a float, or None when it is not finite: infinite,
-    NaN, or an integer too large for a float."""
+def _section(doc: dict, key: str, allowed, nullable=False) -> dict | None:
+    """``doc[key]``, an object with no key outside ``allowed``.  An absent
+    section reads as ``{}``; a ``nullable`` one reads as None when it is
+    absent or null."""
+    if nullable and doc.get(key) is None:
+        return None
+    sec = doc.get(key, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{key} must be an object"
+                          + (" or null" if nullable else ""))
+    _reject_unknown(sec, allowed, key)
+    return sec
+
+
+def _is_int(val) -> bool:
+    """A JSON integer (``true`` and ``false`` are not)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_num(val) -> bool:
+    return _is_int(val) or isinstance(val, float)
+
+
+def _finite(val, where: str) -> float:
+    """A JSON number as a float; infinite, NaN and integers too large for a
+    float are refused."""
     try:
         val = float(val)
     except OverflowError:
-        return None
-    return val if math.isfinite(val) else None
-
-
-def _num(obj, key, where, default=None, minimum=None, strict_min=False):
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{where}.{key} is required")
-        return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    val = _finite(val)
-    if val is None:
-        raise ConfigError(f"{where}.{key} must be a finite number")
-    if minimum is not None:
-        if strict_min and not val > minimum:
-            raise ConfigError(f"{where}.{key} must be > {minimum}")
-        if not strict_min and not val >= minimum:
-            raise ConfigError(f"{where}.{key} must be >= {minimum}")
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConfigError(f"{where} must be a finite number")
     return val
 
 
-def _int_list(val, where):
-    if not isinstance(val, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in val):
-        raise ConfigError(f"{where} must be a list of integers")
-    return [int(v) for v in val]
+def _num(obj: dict, key: str, where: str, default: float,
+         bound: str | None = None) -> float:
+    """``obj[key]`` as a finite float, ``default`` when absent.  ``bound``
+    ``">"`` or ``">="`` compares it with zero."""
+    if key not in obj:
+        return default
+    if not _is_num(obj[key]):
+        raise ConfigError(f"{where}.{key} must be a number")
+    val = _finite(obj[key], f"{where}.{key}")
+    if bound is not None and not (val > 0 if bound == ">" else val >= 0):
+        raise ConfigError(f"{where}.{key} must be {bound} 0.0")
+    return val
 
 
-def _num_list(val, where):
-    if not isinstance(val, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float))
-            for v in val):
-        raise ConfigError(f"{where} must be a list of numbers")
-    out = [_finite(v) for v in val]
-    for i, v in enumerate(out):
-        if v is None:
-            raise ConfigError(f"{where}[{i}] must be a finite number")
-    return out
+def _list(val, where: str, ints=False) -> list:
+    """A JSON list of integers, or else of finite numbers as floats."""
+    if not isinstance(val, list) or not all(
+            map(_is_int if ints else _is_num, val)):
+        raise ConfigError(f"{where} must be a list of "
+                          + ("integers" if ints else "numbers"))
+    if ints:
+        return list(val)
+    return [_finite(v, f"{where}[{i}]") for i, v in enumerate(val)]
 
 
-def _build_params(doc: dict) -> tuple[ModelParams, float]:
-    sec = doc.get("params", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("params must be an object")
-    _reject_unknown(sec, {"free_flow_kmh", "max_density_veh_km",
-                          "relax_steps", "gamma", "step_s", "cell_m"},
-                    "params")
-    step_s = _num(sec, "step_s", "params", default=1.0, minimum=0.0,
-                  strict_min=True)
-    cell_m = _num(sec, "cell_m", "params", default=100.0, minimum=0.0,
-                  strict_min=True)
+def _build_params(doc: dict, ref: ModelParams) -> tuple[ModelParams, float]:
+    sec = _section(doc, "params", {"free_flow_kmh", "max_density_veh_km",
+                                   "relax_steps", "gamma", "step_s",
+                                   "cell_m"})
+    step_s = _num(sec, "step_s", "params", ref.T * 3600.0, ">")
+    cell_m = _num(sec, "cell_m", "params", ref.l * 1000.0, ">")
     params = ModelParams(
-        v_f=_num(sec, "free_flow_kmh", "params", default=102.0,
-                 minimum=0.0, strict_min=True),
-        rho_m=_num(sec, "max_density_veh_km", "params", default=345.0,
-                   minimum=0.0, strict_min=True),
-        tau=_num(sec, "relax_steps", "params", default=20.0),
-        gamma=_num(sec, "gamma", "params", default=1.75, minimum=0.0,
-                   strict_min=True),
+        v_f=_num(sec, "free_flow_kmh", "params", ref.v_f, ">"),
+        rho_m=_num(sec, "max_density_veh_km", "params", ref.rho_m, ">"),
+        tau=_num(sec, "relax_steps", "params", ref.tau),
+        gamma=_num(sec, "gamma", "params", ref.gamma, ">"),
         T=step_s / 3600.0,
         l=cell_m / 1000.0,
     )
     return params, step_s
 
 
-def _build_topology(doc: dict) -> Topology:
-    sec = doc.get("topology", None)
+def _build_topology(doc: dict, ref: Topology) -> Topology:
+    sec = _section(doc, "topology", {"mainline", "on_ramps", "off_ramps"},
+                   nullable=True)
     if sec is None:
-        from .scenarios import paper_topology
-        return paper_topology()
-    if not isinstance(sec, dict):
-        raise ConfigError("topology must be an object")
-    _reject_unknown(sec, {"mainline", "on_ramps", "off_ramps"}, "topology")
-    n_main = sec.get("mainline", 9)
-    if isinstance(n_main, bool) or not isinstance(n_main, int) or n_main < 1:
+        return ref
+    n_main = sec.get("mainline", ref.n_mainline)
+    if not _is_int(n_main) or n_main < 1:
         raise ConfigError("topology.mainline must be a positive integer")
-    on = _int_list(sec.get("on_ramps", []), "topology.on_ramps")
+    on = _list(sec.get("on_ramps", []), "topology.on_ramps", ints=True)
     off_spec = sec.get("off_ramps", [])
     if not isinstance(off_spec, list):
         raise ConfigError("topology.off_ramps must be a list")
@@ -177,12 +185,12 @@ def _build_topology(doc: dict) -> Topology:
     for i, o in enumerate(off_spec):
         if not isinstance(o, dict):
             raise ConfigError("topology.off_ramps entries must be objects")
-        _reject_unknown(o, {"from", "split"}, f"topology.off_ramps[{i}]")
-        seg = o.get("from")
-        if isinstance(seg, bool) or not isinstance(seg, int):
+        where = f"topology.off_ramps[{i}]"
+        _reject_unknown(o, {"from", "split"}, where)
+        if not _is_int(o.get("from")):
             raise ConfigError("topology.off_ramps[].from must be an integer")
-        split = _num(o, "split", f"topology.off_ramps[{i}]", default=0.2)
-        offs.append(OffRamp(diverge_from=seg, alpha=split))
+        split = _num(o, "split", where, ref.off_ramps[0].alpha)
+        offs.append(OffRamp(diverge_from=o["from"], alpha=split))
     return Topology(n_mainline=n_main,
                     on_ramps=tuple(OnRamp(merge_into=m) for m in on),
                     off_ramps=tuple(offs))
@@ -190,57 +198,47 @@ def _build_topology(doc: dict) -> Topology:
 
 def _build_inputs(doc: dict, topo: Topology, params: ModelParams,
                   t_f: int) -> np.ndarray:
-    sec = doc.get("inputs", {})
-    if not isinstance(sec, dict):
-        raise ConfigError("inputs must be an object")
-    _reject_unknown(sec, {"demand_veh_h", "w_in_kmh", "rho_out_veh_km",
-                          "ramp_demand_veh_h", "ramp_w_kmh",
-                          "offramp_rho_out_veh_km"}, "inputs")
-    n_on, n_off = topo.n_onramps, topo.n_offramps
-    ramp_d = _num_list(sec.get("ramp_demand_veh_h", [600.0] * n_on),
-                       "inputs.ramp_demand_veh_h")
-    ramp_w = _num_list(sec.get("ramp_w_kmh", [params.v_f] * n_on),
-                       "inputs.ramp_w_kmh")
-    off_rho = _num_list(sec.get("offramp_rho_out_veh_km", [20.0] * n_off),
-                        "inputs.offramp_rho_out_veh_km")
-    if len(ramp_d) != n_on or len(ramp_w) != n_on:
-        raise ConfigError("ramp input lists must match the on-ramp count")
-    if len(off_rho) != n_off:
-        raise ConfigError(
-            "offramp_rho_out_veh_km must match the off-ramp count")
+    sec = _section(doc, "inputs", {"demand_veh_h", "w_in_kmh",
+                                   "rho_out_veh_km", "ramp_demand_veh_h",
+                                   "ramp_w_kmh", "offramp_rho_out_veh_km"})
+    d_in, rho_out, ramp_d, off_rho = _FEED
+
+    def per_ramp(key, default, count, kind):
+        vals = _list(sec.get(key, [default] * count), f"inputs.{key}")
+        if len(vals) != count:
+            raise ConfigError(f"inputs.{key} must match the {kind} count")
+        return vals
+
     return constant_inputs(
         topo, t_f,
-        d_in=_num(sec, "demand_veh_h", "inputs", default=8800.0,
-                  minimum=0.0),
-        w_in=_num(sec, "w_in_kmh", "inputs", default=params.v_f,
-                  minimum=0.0),
-        rho_out=_num(sec, "rho_out_veh_km", "inputs", default=30.0,
-                     minimum=0.0),
-        ramp_demand=ramp_d, ramp_w=ramp_w, offramp_rho_out=off_rho,
+        d_in=_num(sec, "demand_veh_h", "inputs", d_in, ">="),
+        w_in=_num(sec, "w_in_kmh", "inputs", params.v_f, ">="),
+        rho_out=_num(sec, "rho_out_veh_km", "inputs", rho_out, ">="),
+        ramp_demand=per_ramp("ramp_demand_veh_h", ramp_d, topo.n_onramps,
+                             "on-ramp"),
+        ramp_w=per_ramp("ramp_w_kmh", params.v_f, topo.n_onramps, "on-ramp"),
+        offramp_rho_out=per_ramp("offramp_rho_out_veh_km", off_rho,
+                                 topo.n_offramps, "off-ramp"),
     )
 
 
 def _build_jam(doc: dict) -> JamSpec | None:
-    sec = doc.get("jam", None)
+    sec = _section(doc, "jam", {"segment", "start", "end", "scale"},
+                   nullable=True)
     if sec is None:
         return None
-    if not isinstance(sec, dict):
-        raise ConfigError("jam must be an object or null")
-    _reject_unknown(sec, {"segment", "start", "end", "scale"}, "jam")
-    seg = sec.get("segment")
-    if isinstance(seg, bool) or not isinstance(seg, int):
+    if not _is_int(sec.get("segment")):
         raise ConfigError("jam.segment must be an integer")
-    start = sec.get("start", 0)
-    end = sec.get("end")
-    if (isinstance(start, bool) or not isinstance(start, int)
-            or isinstance(end, bool) or not isinstance(end, int)):
+    start, end = sec.get("start", 0), sec.get("end")
+    if not (_is_int(start) and _is_int(end)):
         raise ConfigError("jam.start and jam.end must be integers")
-    return JamSpec(segment=seg, start=start, end=end,
-                   scale=_num(sec, "scale", "jam", default=0.3))
+    return JamSpec(segment=sec["segment"], start=start, end=end,
+                   scale=_num(sec, "scale", "jam", JamSpec.scale))
 
 
 def _build_schedule(doc: dict, topo: Topology) -> SensorSchedule:
-    sec = doc.get("sensors", None)
+    sec = _section(doc, "sensors", {"fixed", "mobile", "rotation_period"},
+                   nullable=True)
     if sec is None:
         try:
             sched = default_schedule(topo)
@@ -251,15 +249,12 @@ def _build_schedule(doc: dict, topo: Topology) -> SensorSchedule:
                 f"minimum fixed set) does not fit a {topo.n_mainline}-cell "
                 "mainline; give a sensors section") from None
         return sched
-    if not isinstance(sec, dict):
-        raise ConfigError("sensors must be an object")
-    _reject_unknown(sec, {"fixed", "mobile", "rotation_period"}, "sensors")
-    fixed = _int_list(sec.get("fixed", []), "sensors.fixed")
-    mobile = _int_list(sec.get("mobile", []), "sensors.mobile")
-    period = sec.get("rotation_period", None)
+    fixed = _list(sec.get("fixed", []), "sensors.fixed", ints=True)
+    mobile = _list(sec.get("mobile", []), "sensors.mobile", ints=True)
+    period = sec.get("rotation_period")
     if period in (None, "inf"):
         period = None
-    elif isinstance(period, bool) or not isinstance(period, int):
+    elif not _is_int(period):
         raise ConfigError(
             "sensors.rotation_period must be an integer, null or \"inf\"")
     return SensorSchedule(fixed_segments=tuple(fixed),
@@ -281,45 +276,39 @@ def build_scenario(doc: dict) -> tuple[Scenario, float]:
         _reject_unknown(doc, {"scenario_id", "params", "topology", "inputs",
                               "jam", "sensors", "noise", "estimators",
                               "duration_s", "seeds"}, "configuration")
-        params, step_s = _build_params(doc)
-        topo = _build_topology(doc)
-        duration_s = _num(doc, "duration_s", "configuration", default=500.0,
-                          minimum=0.0, strict_min=True)
+        ref = default_scenario()
+        params, step_s = _build_params(doc, ref.params)
+        topo = _build_topology(doc, ref.topo)
+        # The reference run's length in seconds (``T * 3600`` is exact).
+        duration_s = _num(doc, "duration_s", "configuration",
+                          ref.t_f * (ref.params.T * 3600.0), ">")
         t_f = int(round(duration_s / step_s))
         if t_f < 1:
             raise ConfigError("duration_s must cover at least one step")
-        inputs = _build_inputs(doc, topo, params, t_f)
-        jam = _build_jam(doc)
+        noise = _section(doc, "noise", {"std"})
 
-        noise_sec = doc.get("noise", {})
-        if not isinstance(noise_sec, dict):
-            raise ConfigError("noise must be an object")
-        _reject_unknown(noise_sec, {"std"}, "noise")
-        noise_std = _num(noise_sec, "std", "noise", default=1.0, minimum=0.0)
-
-        est_names = doc.get("estimators", ["mhe"])
-        if not isinstance(est_names, list) or not est_names:
+        names = doc.get("estimators", ["mhe"])
+        if not isinstance(names, list) or not names:
             raise ConfigError("estimators must be a non-empty list")
-        specs = []
-        for name in est_names:
-            if name not in ESTIMATOR_KINDS:
+        for name in names:
+            if name not in _KINDS:
                 raise ConfigError(f"unknown estimator {name!r}; choose from "
-                                  f"{', '.join(ESTIMATOR_KINDS)}")
-            specs.append(EstimatorSpec(name))
-
-        seeds = tuple(_int_list(doc.get("seeds", [0, 1, 2, 3, 4]), "seeds"))
+                                  f"{', '.join(_KINDS)}")
 
         sid = doc.get("scenario_id", "config")
         if not isinstance(sid, str):
             raise ConfigError("scenario_id must be a string")
 
-        sc = Scenario(
+        return Scenario(
             scenario_id=sid, params=params, topo=topo, t_f=t_f,
-            inputs=inputs, schedule=_build_schedule(doc, topo),
-            noise_std=noise_std, seeds=seeds, estimators=tuple(specs),
-            jam=jam,
-        )
-        return sc, step_s
+            inputs=_build_inputs(doc, topo, params, t_f),
+            schedule=_build_schedule(doc, topo),
+            noise_std=_num(noise, "std", "noise", ref.noise_std, ">="),
+            seeds=_list(doc.get("seeds", list(ref.seeds)), "seeds",
+                        ints=True),
+            estimators=tuple(map(EstimatorSpec, names)),
+            jam=_build_jam(doc),
+        ), step_s
     except (ModelError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -348,14 +337,10 @@ def _write_trajectory(out, values: np.ndarray, step_s: float,
     if smooth is not None:
         values = moving_average(values, smooth)
     w = csv.writer(out)
-    header = ["step", "time_s"]
-    for i in range(1, n_seg + 1):
-        header += [f"rho_{i}", f"v_{i}"]
-    w.writerow(header)
-    for k in range(values.shape[0]):
-        row = [str(k), f"{k * step_s:.9g}"]
-        row += [f"{v:.9g}" for v in values[k]]
-        w.writerow(row)
+    w.writerow(["step", "time_s", *(f"{q}_{i}" for i in range(1, n_seg + 1)
+                                    for q in ("rho", "v"))])
+    w.writerows([str(k), f"{k * step_s:.9g}", *(f"{v:.9g}" for v in row)]
+                for k, row in enumerate(values))
 
 
 def _open_out(path: str | None):
@@ -374,10 +359,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     sc, step_s = build_scenario(_load_config(args.config))
-    if args.estimator is not None:
-        spec = EstimatorSpec(args.estimator)
-    else:
-        spec = sc.estimators[0]
+    spec = (EstimatorSpec(args.estimator) if args.estimator
+            else sc.estimators[0])
     truth = generate_truth(sc)
     res = run_estimation(sc, truth, spec, args.seed)
     if args.out is not None:
@@ -394,21 +377,13 @@ def cmd_estimate(args) -> int:
         "within_bounds": res.within_bounds,
         "flags": res.flags,
     }
-    json.dump(summary, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     sc, _ = build_scenario(_load_config(args.config))
-    runner = {
-        "sensors": sweep_sensor_count,
-        "rotation": sweep_rotation,
-        "spacing": sweep_spacing,
-        "noise": sweep_noise,
-    }[args.sweep]
-    rows = runner(sc, jobs=args.jobs)
-    write_sweep_csv(rows, args.out)
+    write_sweep_csv(_SWEEPS[args.sweep](sc, jobs=args.jobs), args.out)
     return EXIT_OK
 
 
@@ -416,15 +391,13 @@ def cmd_gramian(args) -> int:
     sc, _ = build_scenario(_load_config(args.config))
     truth = generate_truth(sc)
     x0 = truth.traj[0]
-    u0 = sc.inputs[0]
-    lin = linearize_model(x0, u0, sc.topo, sc.params)
+    lin = linearize_model(x0, sc.inputs[0], sc.topo, sc.params)
     positions = positions_at(sc.schedule, sc.topo, 0)
-    C_sel = build_observation(positions, sc.topo)
-    lm = linearize_measurement(x0, C_sel, sc.params)
-    d = state_scale(sc.topo, sc.params)
-    A_s = lin.A_tilde * (d[None, :] / d[:, None])
-    C_s = lm.C_tilde * d[None, :]
-    res = observability_gramian(A_s, C_s, terms=args.terms)
+    lm = linearize_measurement(x0, build_observation(positions, sc.topo),
+                               sc.params)
+    _, _, d, ratio = _box_and_scale(sc.topo, sc.params)
+    res = observability_gramian(lin.A_tilde * ratio, lm.C_tilde * d,
+                                terms=args.terms)
     report = {
         "positions": sorted(positions),
         "min_eigenvalue": res.min_eigenvalue,
@@ -434,8 +407,7 @@ def cmd_gramian(args) -> int:
         "observable": bool(not res.diverged
                            and res.min_eigenvalue > GRAMIAN_EIG_THRESHOLD),
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -466,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate",
                        help="run one estimator, print a JSON summary")
     common(p, seed=True, smooth=True)
-    p.add_argument("--estimator", choices=ESTIMATOR_KINDS, default=None,
+    p.add_argument("--estimator", choices=_KINDS, default=None,
                    help="override the config's first estimator")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write the estimate trajectory CSV here")
@@ -474,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a study sweep, write its CSV")
     common(p)
-    p.add_argument("--sweep", required=True,
-                   choices=("sensors", "rotation", "spacing", "noise"))
+    p.add_argument("--sweep", required=True, choices=tuple(_SWEEPS))
     p.add_argument("--out", metavar="FILE", required=True)
     p.add_argument("--jobs", type=int, default=1,
                    help="processes for sweep cells, this one included "
@@ -515,6 +486,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except BlowupError as exc:
         print(f"runtime error: simulation diverged ({exc})", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"runtime error: out of memory ({exc})", file=sys.stderr)
         return EXIT_RUNTIME
     except (ModelError, EstimatorError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

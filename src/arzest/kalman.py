@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+# Every estimator kind, in the order the CLI lists them; the MHE
+# (``mhe.MheSession``) comes last, after this module's three filters.
+_KINDS = ("ekf", "ukf", "enkf", "mhe")
+
+
 class EstimatorError(Exception):
     """Estimator could not complete a step."""
 
@@ -309,7 +314,7 @@ class KalmanRunner:
 
     def __init__(self, kind: str, x0, cfg: EstimatorConfig, topo: Topology,
                  params: ModelParams, rng: np.random.Generator | None = None):
-        if kind not in ("ekf", "ukf", "enkf"):
+        if kind not in _KINDS[:-1]:
             raise EstimatorError(f"unknown filter kind {kind!r}")
         if kind == "ukf" and topo.n_x + cfg.kappa <= 0:
             # The unscented spread n + lambda is alpha^2 (n_x + kappa).

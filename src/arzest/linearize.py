@@ -31,6 +31,7 @@ from .model import (
     EPS_RHO,
     ModelParams,
     Topology,
+    _dp,
     _net_flux,
     _update,
     build_update_matrices,
@@ -197,11 +198,10 @@ def measurement_jacobian(x0, params: ModelParams) -> tuple[np.ndarray, bool]:
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
     rho, psi = x0[0::2], x0[1::2]
     live = rho > EPS_RHO
     r = np.where(live, rho, EPS_RHO)
-    dp = v_f * gamma * r ** (gamma - 1.0) / rho_m ** gamma
+    dp = _dp(r, params.v_f, params.rho_m, params.gamma)
     H = np.zeros((n, n))
     # Segment s's entries (2s, 2s), (2s+1, 2s) and (2s+1, 2s+1) lie at
     # s * stride, then n and n + 1 further, in H's flat view.

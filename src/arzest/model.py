@@ -103,7 +103,7 @@ class ModelParams:
     rho_m : jam density (veh/km).
     tau : relaxation constant (per-step, dimensionless); the relative flow
         decays by ``1 - 1/tau`` each step.
-    gamma : pressure exponent (> 1).
+    gamma : pressure exponent (> 0).
     T : step length (h).
     l : cell length (km).
     """
@@ -293,16 +293,17 @@ def pressure(rho: float, params: ModelParams) -> float:
     """Traffic pressure p(rho) = v_f * (rho/rho_m)**gamma (km/h)."""
     if rho < 0:
         raise ModelError(f"density must be nonnegative, got {rho}")
-    return params.v_f * (rho / params.rho_m) ** params.gamma
+    return _p(rho, params.v_f, params.rho_m, params.gamma)
 
 
 def pressure_gradient(rho: float, params: ModelParams) -> float:
-    """dp/drho; zero-limit at rho = 0 for gamma > 1."""
+    """dp/drho.  At rho = 0 this is the one-sided limit: 0 for gamma > 1,
+    v_f/rho_m for gamma = 1 and +inf for gamma < 1."""
     if rho < 0:
         raise ModelError(f"density must be nonnegative, got {rho}")
-    if rho == 0.0:
-        return 0.0
-    return params.v_f * params.gamma * rho ** (params.gamma - 1) / params.rho_m ** params.gamma
+    if rho == 0.0 and params.gamma < 1:
+        return math.inf
+    return _dp(rho, params.v_f, params.rho_m, params.gamma)
 
 
 def equilibrium_speed(rho: float, params: ModelParams) -> float:
@@ -314,7 +315,7 @@ def sigma_crit(w: float, params: ModelParams) -> float:
     """Critical density maximizing flux for driver characteristic w."""
     if w <= 0:
         raise ModelError(f"driver characteristic must be positive, got {w}")
-    return params.rho_m * (w / (params.v_f * (1 + params.gamma))) ** (1.0 / params.gamma)
+    return float(_sigma(w, params.v_f, params.rho_m, params.gamma))
 
 
 # Lenient kernels: finite-difference stencils and filter sigma points may
@@ -326,6 +327,10 @@ def sigma_crit(w: float, params: ModelParams) -> float:
 
 def _p(rho, v_f, rho_m, gamma):
     return v_f * (rho / rho_m) ** gamma
+
+
+def _dp(rho, v_f, rho_m, gamma):
+    return v_f * gamma * rho ** (gamma - 1.0) / rho_m ** gamma
 
 
 def _sigma(w, v_f, rho_m, gamma):
@@ -914,7 +919,7 @@ def measure_h(x, params: ModelParams) -> np.ndarray:
     rho = x[..., 0::2]
     psi = x[..., 1::2]
     rho_s = np.maximum(rho, EPS_RHO)
-    v = psi / rho_s - params.v_f * (rho_s / params.rho_m) ** params.gamma
+    v = psi / rho_s - _p(rho_s, params.v_f, params.rho_m, params.gamma)
     h = np.empty_like(x)
     h[..., 0::2] = rho
     h[..., 1::2] = v

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kalman import EstimatorConfig, KalmanRunner
+from .kalman import _KINDS, EstimatorConfig, KalmanRunner
 from .mhe import MheConfig, MheSession
 from .model import (
     ModelParams,
@@ -66,6 +66,10 @@ __all__ = [
     "write_sweep_csv",
 ]
 
+# The reference feed: mainline demand (veh/h) and exit density (veh/km),
+# then each on-ramp's demand (veh/h) and each off-ramp's exit density.
+_FEED = (8800.0, 30.0, 600.0, 20.0)
+
 # Order in which extra fixed mainline sensors are placed in the sensor-count
 # sweep.
 FILL_ORDER = (1, 3, 7, 5, 2, 4, 6, 8)
@@ -102,7 +106,7 @@ class EstimatorSpec:
     mhe: MheConfig = field(default_factory=MheConfig)
 
     def __post_init__(self):
-        if self.kind not in ("ekf", "ukf", "enkf", "mhe"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
 
 
@@ -203,13 +207,14 @@ def default_scenario(t_f: int = 500, noise_std: float = 1.0,
     a 200-step slowdown on cell 7."""
     params = paper_params()
     topo = paper_topology()
+    d_in, rho_out, ramp_d, off_rho = _FEED
     inputs = constant_inputs(
         topo, t_f,
-        d_in=8800.0, w_in=params.v_f, rho_out=30.0,
-        ramp_demand=(600.0,), ramp_w=(params.v_f,),
-        offramp_rho_out=(20.0, 20.0),
+        d_in=d_in, w_in=params.v_f, rho_out=rho_out,
+        ramp_demand=(ramp_d,), ramp_w=(params.v_f,),
+        offramp_rho_out=(off_rho, off_rho),
     )
-    jam = JamSpec(segment=7, start=100, end=300, scale=0.3)
+    jam = JamSpec(segment=7, start=100, end=300)
     if jam.end > t_f:
         jam = None
     return Scenario(

@@ -1,6 +1,8 @@
 """Command line interface: config parsing, CSV/JSON outputs, exit codes."""
 import csv
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -340,3 +342,54 @@ def test_default_schedule_that_does_not_fit_asks_for_sensors(tmp_path,
     assert "default sensor schedule (mobile starts 1, 3, 7" in err
     assert f"does not fit a {mainline}-cell mainline" in err
     assert "give a sensors section" in err
+
+
+def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    # Raised, never allocated: a host that overcommits memory may grant a
+    # huge request and then kill the process.
+    def no_memory(sc):
+        raise MemoryError("Unable to allocate 50.9 TiB for an array")
+    monkeypatch.setattr(cli, "generate_truth", no_memory)
+    rc = cli.main(["simulate", "--config", _small_cfg(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "50.9 TiB" in err
+
+
+def test_empty_config_is_the_reference_scenario():
+    """Every default of the document is the reference twin's, apart from
+    the documented differences: no jam, the MHE alone and the id."""
+    sc, step_s = cli.build_scenario({})
+    ref = scenarios.default_scenario()
+    assert step_s == 1.0
+    same = ("params", "topo", "t_f", "schedule", "noise_std", "seeds",
+            "warmup_steps", "x_init")
+    for name in same:
+        assert getattr(sc, name) == getattr(ref, name), name
+    assert sc.inputs.shape == ref.inputs.shape
+    assert sc.inputs.tobytes() == ref.inputs.tobytes()
+    assert ref.jam is not None and sc.jam is None
+    assert sc.estimators == (scenarios.EstimatorSpec("mhe"),)
+    assert sc.scenario_id == "config"
+    compared = set(same) | {"inputs", "jam", "estimators", "scenario_id"}
+    assert {f.name for f in dataclasses.fields(sc)} == compared
+
+
+@pytest.mark.parametrize("doc, cause", [
+    ({"topology": []}, "topology must be an object or null"),
+    ({"sensors": 3}, "sensors must be an object or null"),
+    ({"jam": "none"}, "jam must be an object or null"),
+    ({"noise": None}, "noise must be an object"),
+    ({"inputs": {"ramp_w_kmh": [90.0, 90.0]}},
+     "inputs.ramp_w_kmh must match the on-ramp count"),
+    ({"inputs": {"offramp_rho_out_veh_km": [20.0]}},
+     "inputs.offramp_rho_out_veh_km must match the off-ramp count"),
+    ({"seeds": [0, 1.5]}, "seeds must be a list of integers"),
+    ({"params": {"gamma": 0}}, "params.gamma must be > 0.0"),
+    ({"inputs": {"demand_veh_h": -1}}, "inputs.demand_veh_h must be >= 0.0"),
+    ({"jam": {"segment": 7, "end": True}},
+     "jam.start and jam.end must be integers"),
+])
+def test_config_errors_name_their_key(doc, cause):
+    with pytest.raises(cli.ConfigError, match=re.escape(cause)):
+        cli.build_scenario(doc)

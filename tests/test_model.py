@@ -73,6 +73,23 @@ def test_pressure_monotone_and_gradient(params):
     assert pressure_gradient(0.0, params) == 0.0
 
 
+@pytest.mark.parametrize("gamma, limit", [
+    (0.5, math.inf),        # v_f gamma rho^(gamma-1) / rho_m^gamma diverges
+    (1.0, V_F / RHO_M),     # p is linear: the slope is v_f/rho_m throughout
+    (GAMMA, 0.0),
+])
+def test_pressure_gradient_at_zero_is_the_one_sided_limit(params, gamma,
+                                                          limit):
+    p = ModelParams(V_F, RHO_M, params.tau, gamma, params.T, params.l)
+    assert pressure_gradient(0.0, p) == limit
+    near = [pressure_gradient(10.0 ** -k, p) for k in (4, 8, 12)]
+    if math.isinf(limit):
+        assert near[0] < near[1] < near[2] and near[2] > 1e6
+    else:
+        assert near[2] == pytest.approx(limit, abs=1e-10)
+        assert abs(near[2] - limit) <= abs(near[0] - limit)
+
+
 def test_pressure_rejects_negative_density(params):
     with pytest.raises(ModelError):
         pressure(-1.0, params)

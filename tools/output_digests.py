@@ -4,11 +4,14 @@ them byte-identical.  Run it on two checkouts and ``diff`` the listings:
     PYTHONPATH=src python tools/output_digests.py [t_f] > digests.txt
 
 Every run takes ``t_f`` steps (default 500); a group of runs is digested
-as the sha256 of its runs' digests.
+as the sha256 of its runs' digests.  The CLI's outputs are digested for a
+config that sets only the duration and for one that sets every section,
+without their timing fields.
 """
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -45,6 +48,51 @@ def _long_highway(t_f: int) -> az.Scenario:
                        jam=az.JamSpec(15, min(5, t_f), t_f))
 
 
+def _every_section(t_f: int) -> dict:
+    """A config that sets every section and key, away from each default:
+    2 s steps on 150 m cells, eleven mainline cells and two ramps of each
+    kind."""
+    return {
+        "scenario_id": "every-section",
+        "params": {"free_flow_kmh": 96.0, "max_density_veh_km": 330.0,
+                   "relax_steps": 25.0, "gamma": 1.5, "step_s": 2.0,
+                   "cell_m": 150.0},
+        "topology": {"mainline": 11, "on_ramps": [4, 8],
+                     "off_ramps": [{"from": 6, "split": 0.15}, {"from": 9}]},
+        "inputs": {"demand_veh_h": 7200.0, "w_in_kmh": 90.0,
+                   "rho_out_veh_km": 25.0,
+                   "ramp_demand_veh_h": [400.0, 500.0],
+                   "ramp_w_kmh": [85.0, 96.0],
+                   "offramp_rho_out_veh_km": [15.0, 18.0]},
+        "jam": {"segment": 5, "start": min(3, t_f), "end": t_f, "scale": 0.5},
+        "sensors": {"fixed": [11, 12, 13, 14, 15], "mobile": [2, 7],
+                    "rotation_period": 10},
+        "noise": {"std": 2.0},
+        "estimators": ["ukf", "mhe"],
+        "duration_s": 2.0 * t_f,
+        "seeds": [1],
+    }
+
+
+def _cli(*argv) -> str:
+    """Run the CLI and return what it printed."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        if cli.main([*map(str, argv)]) != 0:
+            raise RuntimeError(f"arzest {' '.join(map(str, argv))} failed")
+    return out.getvalue()
+
+
+def _untimed(text: str) -> str:
+    """A JSON summary or sweep CSV without its timing field or column."""
+    if text.startswith("{"):
+        summary = json.loads(text)
+        del summary["mean_step_time_s"]
+        return json.dumps(summary)
+    rows = list(csv.reader(io.StringIO(text)))
+    col = rows[0].index("mean_step_time_s")
+    return repr([r[:col] + r[col + 1:] for r in rows])
+
+
 def _run(sc, truth, kind: str, seed: int) -> str:
     r = az.run_estimation(sc, truth, az.EstimatorSpec(kind), seed)
     return _sha(r.est, r.rmse_rho, r.rmse_v, r.flags, r.within_bounds)
@@ -53,14 +101,21 @@ def _run(sc, truth, kind: str, seed: int) -> str:
 def digests(t_f: int = 500) -> dict[str, str]:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        cfg, csv = pathlib.Path(tmp, "config.json"), pathlib.Path(tmp, "e.csv")
+        cfg, res = pathlib.Path(tmp, "config.json"), pathlib.Path(tmp, "e.csv")
         cfg.write_text(json.dumps({"duration_s": t_f}), encoding="utf-8")
         for kind in KINDS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                cli.main(["estimate", "--config", str(cfg), "--estimator",
-                          kind, "--seed", "0", "--out", str(csv)])
+            _cli("estimate", "--config", cfg, "--estimator", kind, "--seed", 0,
+                 "--out", res)
             out[f"cli estimate {kind}"] = hashlib.sha256(
-                csv.read_bytes()).hexdigest()[:16]
+                res.read_bytes()).hexdigest()[:16]
+        cfg.write_text(json.dumps(_every_section(t_f)), encoding="utf-8")
+        _cli("simulate", "--config", cfg, "--smooth", 3, "--out", res)
+        out["cli simulate config"] = _sha(res.read_bytes())
+        summary = _cli("estimate", "--config", cfg, "--seed", 2, "--out", res)
+        out["cli estimate config"] = _sha(res.read_bytes(), _untimed(summary))
+        out["cli gramian config"] = _sha(_cli("gramian", "--config", cfg))
+        _cli("sweep", "--config", cfg, "--sweep", "rotation", "--out", res)
+        out["cli sweep config"] = _sha(_untimed(res.read_text("utf-8")))
     ref = az.default_scenario(t_f)
     sweep = replace(ref, jam=az.JamSpec(7, min(5, t_f), t_f))
     for name, sc in (("reference", ref), ("long-highway", _long_highway(t_f)),
