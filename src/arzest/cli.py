@@ -35,6 +35,7 @@ import sys
 
 import numpy as np
 
+from . import scenarios
 from .kalman import _KINDS, EstimatorError
 from .linearize import linearize_measurement, linearize_model
 from .model import (
@@ -244,9 +245,10 @@ def _build_schedule(doc: dict, topo: Topology) -> SensorSchedule:
             sched = default_schedule(topo)
             positions_at(sched, topo, 0)
         except ValueError:
+            starts = ", ".join(map(str, scenarios._MOBILE_STARTS))
             raise ConfigError(
-                "the default sensor schedule (mobile starts 1, 3, 7 plus the "
-                f"minimum fixed set) does not fit a {topo.n_mainline}-cell "
+                f"the default sensor schedule (mobile starts {starts} plus "
+                f"the minimum fixed set) does not fit a {topo.n_mainline}-cell "
                 "mainline; give a sensors section") from None
         return sched
     fixed = _list(sec.get("fixed", []), "sensors.fixed", ints=True)

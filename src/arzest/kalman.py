@@ -139,7 +139,7 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     innov = np.asarray(y, dtype=float) - C_sel @ measure_h(x_pred, params)
     S = Cs @ P_pred @ Cs.T + cfg.r * _eye(C_sel.shape[0])
     # K = P C^T S^-1 via a solve on the symmetric innovation covariance.
-    K = _gain(S, Cs @ P_pred, state).T
+    K = _gain(S, Cs @ P_pred, state, cfg.r).T
     x_new = x_pred + d * (K @ innov)
     x_new = project_to_bounds(x_new, lo, hi)
     IKC = _eye(n) - K @ Cs
@@ -148,46 +148,40 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
                           jitter_events=state.jitter_events)
 
 
-def _gain(S: np.ndarray, B: np.ndarray, state: EstimatorState) -> np.ndarray:
-    """``S^-1 B`` for a (k, m) ``B``, C-contiguous, exactly as
+def _gain(S: np.ndarray, B: np.ndarray, state: EstimatorState,
+          floor: float = 0.0, check: bool = False) -> np.ndarray:
+    """``S^-1 B`` for a (k, m) ``B``, exactly as
     ``np.linalg.solve(_jittered(S, state), B)``, without that function's
-    SVD on a well-conditioned S.
+    SVD where S is proven well conditioned.
 
-    One LU solve against ``[B | I]`` gives the solution and an
-    approximate inverse X of S.  If ``||S X - I||_F <= 1/2``, then
-    ``||S^-1||_2 <= 2 ||X||_2`` (Higham 2002, Accuracy and Stability of
-    Numerical Algorithms, ch. 14), so ``||S||_F ||X||_F <= 5e11`` proves
-    ``cond_2(S) <= 1e12``; the rounding of the computed residual moves
-    that bound by a fraction of a percent at the filters' sizes.  That is
-    two decades below the 1e14 at which
-    ``_jittered`` adds a ridge, so the SVD would leave S as it is, and
-    the solution's first m columns equal ``np.linalg.solve(S, B)`` bit
-    for bit: the same LU, and the triangular solves treat each column on
-    its own.  (That holds for m >= 2; OpenBLAS solves a lone column by
-    another kernel.  The filters' B has one column per state.)  Only where
-    the bound cannot clear S, or the LU finds it singular, does the SVD
-    run, through ``_jittered``, which counts its ridge escalations in
-    ``state`` and refuses a non-finite S.  The three Frobenius norms are
-    ``_fro``: ``np.linalg.norm``'s own formula, bit for bit, without that
-    function's Python-level dispatch.
+    ``floor > 0`` bounds S's eigenvalues from below: by the caller's
+    construction, or, with ``check``, by a Cholesky factorization of
+    ``S - floor I`` here.  Every eigenvalue is then positive, so the
+    largest is at most the trace, and ``tr(S) <= 1e12 floor`` proves
+    ``cond_2(S) <= 1e12``.  The rounding of S moves that bound by far less
+    than the two decades to the 1e14 at which ``_jittered`` adds a ridge.
+
+    - The EKF's ``C P C^T + r I`` and the EnKF's ``Y^T Y / (M - 1) + r I``
+      are a positive-semidefinite matrix plus ``r I``: floor ``r``.
+    - The UKF's centre weight is negative, so its ``S - r I`` can be
+      indefinite: it proves floor ``r / 2`` with ``check``.
+
+    On a proven S, ``_jittered`` would return S itself, so the gain is the
+    same ``np.linalg.solve(S, B)`` call, bit for bit, for any number of
+    columns.  Anything not proven (the default floor 0 proves nothing)
+    goes to ``_jittered``'s SVD, which counts its ridge escalations in
+    ``state`` and refuses a non-finite S.  A non-finite entry of the
+    factors that S is formed from reaches S's diagonal, so such an S fails
+    the trace test.
     """
-    k, m = B.shape
-    try:
-        Z = np.linalg.solve(S, np.concatenate((B, _eye(k)), axis=1))
-    except np.linalg.LinAlgError:
-        pass  # exactly singular in the LU: the SVD decides
-    else:
-        X = Z[:, m:]
-        if (_fro(S) * _fro(X) <= 5e11 and _fro(S @ X - _eye(k)) <= 0.5):
-            return Z[:, :m].copy()
+    if floor > 0.0 and S.trace() <= 1e12 * floor:
+        try:
+            if check:
+                np.linalg.cholesky(S - floor * _eye(len(S)))
+            return np.linalg.solve(S, B)
+        except np.linalg.LinAlgError:
+            pass  # not proven positive definite: the SVD decides
     return np.linalg.solve(_jittered(S, state), B)
-
-
-def _fro(M: np.ndarray) -> float:
-    """``np.linalg.norm(M)``, the Frobenius norm, by that function's own
-    formula: the square root of the raveled matrix's dot product."""
-    v = M.ravel(order="K")
-    return math.sqrt(v @ v)
 
 
 def _jittered(S: np.ndarray, state: EstimatorState) -> np.ndarray:
@@ -264,7 +258,7 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     dy = Y - y_pred
     S = (dy.T * wc) @ dy + cfg.r * _eye(C_sel.shape[0])
     P_xy = dev_w @ dy
-    K = _gain(S, P_xy.T, state).T
+    K = _gain(S, P_xy.T, state, 0.5 * cfg.r, check=True).T
     x_new_s = x_pred_s + K @ (np.asarray(y, dtype=float) - y_pred)
     x_new = project_to_bounds(x_new_s * d, lo, hi)
     P_new = _sym(P_pred - K @ S @ K.T)
@@ -282,8 +276,12 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
 
     ens = step_batch(state.ensemble, u, topo, params)
     if cfg.q > 0:
-        ens = ens + rng.standard_normal((M, n)) * math.sqrt(cfg.q) * d
-        ens = project_to_bounds(ens, lo, hi)
+        # ens + noise, formed in the drawn array: the sum commutes bitwise.
+        noise = rng.standard_normal((M, n))
+        noise *= math.sqrt(cfg.q)
+        noise *= d
+        noise += ens
+        ens = project_to_bounds(noise, lo, hi)
 
     C_sel = np.asarray(C_sel, dtype=float)
     if C_sel.shape[0] > 0:
@@ -296,7 +294,7 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
         Ydev = Y - ym
         P_xy = Xdev.T @ Ydev / (M - 1)
         P_yy = Ydev.T @ Ydev / (M - 1) + cfg.r * _eye(n_p)
-        K = _gain(P_yy, P_xy.T, state).T
+        K = _gain(P_yy, P_xy.T, state, cfg.r).T
         y = np.asarray(y, dtype=float)
         half = math.sqrt(3.0 * cfg.r)
         # Observation perturbations mirror the uniform measurement noise.

@@ -588,8 +588,12 @@ def _inputs(u, topo: Topology) -> np.ndarray:
 # contiguous (boundaries, P) block, ramp and off legs only where they
 # exist, so each array operation of ``_junctions`` is one loop over all
 # boundaries of all states rather than P loops of a dozen elements.  Each
-# segment's net flux is read back from its one inflow and one outflow
-# into a C-contiguous (..., n_x) result.  Every operation still pays
+# segment's net flux is read back from its one inflow and one outflow.
+# ``step`` and ``step_batch`` keep it in the (n_x, P) layout, where the
+# update, its finiteness check and the clip run on contiguous rows, and
+# write the clipped states once into a C-contiguous (..., n_x) result;
+# ``_net_flux`` (``nonlinear_f``, the stencils) writes the net flux itself
+# into a C-contiguous (..., n_x) array.  Every operation still pays
 # numpy's per-call overhead whatever the number of states, and on the
 # estimators' sizes that overhead is most of the cost.  On the 9-cell
 # reference network ``_net_flux`` takes 54 us for one state, 64 us for 2,
@@ -869,34 +873,45 @@ class StepDiagnostics:
 
 def _advance(x, u, topo: Topology, params: ModelParams, ds_scale=None,
              diag: StepDiagnostics | None = None) -> np.ndarray:
-    """The update of ``step`` for one state or, row by row, a population."""
-    x = np.asarray(x, dtype=float)
-    f, margin = _net_flux(x, u, topo, params, ds_scale)
-    return _update(x, f, topo, params, margin, diag)
+    """The update of ``step`` for one state or, row by row, a population.
+    The net flux and the update stay in the kernel's (n_x, P) layout, and
+    the C-contiguous (..., n_x) result is written once."""
+    xt, ut, lead = _population_major(x, u, topo)
+    t = topo._boundaries
+    flows, gap = _flows(xt, ut, topo, params, ds_scale)
+    f = flows.take(t.inflow, axis=0) - flows.take(t.outflow, axis=0)
+    x_new = _update(xt, f, topo, params, gap, diag)
+    return np.ascontiguousarray(x_new.T).reshape(lead + xt.shape[:1])
 
 
 def _update(x, f, topo: Topology, params: ModelParams, margin=math.inf,
             diag: StepDiagnostics | None = None) -> np.ndarray:
     """The update of ``step`` from the net fluxes ``f`` at ``x``: relaxation
-    plus (T/l) f, clamped to the physical bounds.  ``margin`` is the
-    branch-tie margin of the flux evaluation, recorded in ``diag``."""
-    r = params.T / params.l
-    x_new = np.empty_like(x)
-    x_new[..., 0::2] = x[..., 0::2] + r * f[..., 0::2]
-    x_new[..., 1::2] = ((1.0 - 1.0 / params.tau) * x[..., 1::2]
-                        + r * f[..., 1::2]
-                        + (params.v_f / params.tau) * x[..., 0::2])
+    plus (T/l) f, clamped to the physical bounds.  States lie along the
+    first axis: one state (n_x,) or the kernel's (n_x, P).  ``margin`` is
+    the branch-tie margin of the flux evaluation, recorded in ``diag``.
+    The sums are formed in place on ``r f``; addition commutes bitwise, so
+    they equal ``rho + r f`` and ``((1 - 1/tau) psi + r f) + (v_f/tau) rho``
+    bit for bit."""
+    x_new = (params.T / params.l) * f
+    x_new[0::2] += x[0::2]
+    psi = x_new[1::2]
+    psi += (1.0 - 1.0 / params.tau) * x[1::2]
+    psi += (params.v_f / params.tau) * x[0::2]
     if not np.isfinite(x_new).all():
-        rows = x_new.reshape(-1, topo.n_x)
-        # the first state index that is non-finite in any row
-        r, i = min(np.argwhere(~np.isfinite(rows)), key=lambda ri: ri[1])
-        raise BlowupError(int(i), float(rows[r, i]))
+        # the first state index that is non-finite in any state, and the
+        # first such state's value
+        first = tuple(np.argwhere(~np.isfinite(x_new))[0])
+        raise BlowupError(int(first[0]), float(x_new[first]))
     lo, hi, _, _ = _box_and_scale(topo, params)
-    clipped = _clip(x_new, lo, hi)
+    at = _per_row(x_new)
+    lo, hi = lo[at], hi[at]
     if diag is not None:
-        diag.clamped += int(np.count_nonzero(clipped != x_new))
+        diag.clamped += (int(np.count_nonzero(x_new < lo))
+                         + int(np.count_nonzero(x_new > hi)))
         diag.min_margin = min(diag.min_margin, float(np.min(margin)))
-    return clipped
+    np.maximum(x_new, lo, out=x_new)
+    return np.minimum(x_new, hi, out=x_new)
 
 
 def step(x, u, topo: Topology, params: ModelParams, ds_scale=None,

@@ -70,6 +70,9 @@ __all__ = [
 # then each on-ramp's demand (veh/h) and each off-ramp's exit density.
 _FEED = (8800.0, 30.0, 600.0, 20.0)
 
+# Mainline segments the default connected vehicles start on.
+_MOBILE_STARTS = (1, 3, 7)
+
 # Order in which extra fixed mainline sensors are placed in the sensor-count
 # sweep.
 FILL_ORDER = (1, 3, 7, 5, 2, 4, 6, 8)
@@ -187,8 +190,9 @@ def _mobile_schedule(topo: Topology, starts, period) -> SensorSchedule:
 
 def default_schedule(topo: Topology) -> SensorSchedule:
     """Minimum fixed set (last mainline cell + all ramps) plus three
-    connected vehicles starting at 1, 3, 7 and hopping every 15 steps."""
-    return _mobile_schedule(topo, (1, 3, 7), 15)
+    connected vehicles starting on ``_MOBILE_STARTS`` and hopping every
+    15 steps."""
+    return _mobile_schedule(topo, _MOBILE_STARTS, 15)
 
 
 def constant_inputs(topo: Topology, t_f: int, d_in: float, w_in: float,
@@ -518,8 +522,9 @@ def sweep_rotation(sc: Scenario, periods=(1, 5, 15, 60, None),
                    truth: TruthResult | None = None,
                    jobs: int = 1) -> list[dict]:
     """Vary how often the mobile sensors hop (None parks them)."""
+    starts = _MOBILE_STARTS
     cells = [(_period_knob(p),
-              replace(sc, schedule=_mobile_schedule(sc.topo, (1, 3, 7), p)))
+              replace(sc, schedule=_mobile_schedule(sc.topo, starts, p)))
              for p in periods]
     return _sweep(sc, "rotation", cells, truth, jobs)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,13 +61,21 @@ class SensorSchedule:
                 raise ValueError(f"mobile start {s} collides with a fixed sensor")
 
 
-def _free_slots(sched: SensorSchedule, topo: Topology) -> list[int]:
+@lru_cache(maxsize=32)
+def _layout(sched: SensorSchedule, topo: Topology):
+    """``(slots, starts, fixed, period)``: the free mainline slots, each
+    mobile sensor's start index among them, the sorted fixed segments and
+    the steps between hops (0 for parked sensors), built once per
+    (schedule, topology).  A step's layout is then an index shift."""
     slots = [s for s in range(1, topo.n_mainline + 1)
              if s not in sched.fixed_segments]
     for s in sched.initial_positions:
         if s not in slots:
             raise ValueError(f"mobile start {s} is not a free mainline segment")
-    return slots
+    starts = tuple(slots.index(s) for s in sched.initial_positions)
+    period = sched.rotation_period
+    period = 0 if period is None or math.isinf(period) else int(period)
+    return tuple(slots), starts, sorted(sched.fixed_segments), period
 
 
 def mobile_positions_at(sched: SensorSchedule, topo: Topology, k: int) -> list[int]:
@@ -75,21 +84,14 @@ def mobile_positions_at(sched: SensorSchedule, topo: Topology, k: int) -> list[i
     Every ``rotation_period`` steps each sensor advances to the next free
     mainline segment, wrapping past the end and skipping fixed positions.
     """
-    if sched.mobile_count == 0:
-        return []
-    slots = _free_slots(sched, topo)
-    period = sched.rotation_period
-    if period is None or math.isinf(period):
-        shift = 0
-    else:
-        shift = k // int(period)
-    m = len(slots)
-    return [slots[(slots.index(s) + shift) % m] for s in sched.initial_positions]
+    return positions_at(sched, topo, k)[:sched.mobile_count]
 
 
 def positions_at(sched: SensorSchedule, topo: Topology, k: int) -> list[int]:
     """All measured segments at step k: mobile positions then fixed ones."""
-    return mobile_positions_at(sched, topo, k) + sorted(sched.fixed_segments)
+    slots, starts, fixed, period = _layout(sched, topo)
+    shift = k // period if period else 0
+    return [slots[(i + shift) % len(slots)] for i in starts] + fixed
 
 
 def build_observation(measured, topo: Topology) -> np.ndarray:

@@ -344,6 +344,17 @@ def test_default_schedule_that_does_not_fit_asks_for_sensors(tmp_path,
     assert "give a sensors section" in err
 
 
+def test_default_schedule_message_names_the_owners_starts(tmp_path, capsys,
+                                                          monkeypatch):
+    """The message reads the default starts from ``scenarios``, which
+    owns them, rather than spelling them out."""
+    monkeypatch.setattr(scenarios, "_MOBILE_STARTS", (2, 4, 6))
+    cfg = _write_config(tmp_path, {"topology": {"mainline": 5}})
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "default sensor schedule (mobile starts 2, 4, 6 plus" in err
+
+
 def test_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
     # Raised, never allocated: a host that overcommits memory may grant a
     # huge request and then kill the process.

@@ -1,5 +1,7 @@
 """Filter baselines: prediction behavior, covariance health, determinism
 and bound projection for the extended, unscented and ensemble variants."""
+import math
+
 import numpy as np
 import pytest
 
@@ -334,17 +336,19 @@ def _with_condition(cond, k=6, seed=0):
     return (Q * np.geomspace(1.0, cond, k)) @ Q.T
 
 
-def _gain_inputs_of_a_noise_1_run(monkeypatch):
-    """Every (S, B) the EKF solves for on 20 reference steps at noise 1."""
+def _gain_inputs_of_a_noise_1_run(monkeypatch, kind="ekf"):
+    """Every (S, B, proof) the filter ``kind`` solves for on 20 reference
+    steps at noise 1; ``proof`` holds the arguments after ``state``."""
     seen, real = [], kalman._gain
 
-    def record(S, B, state):
-        seen.append((S.copy(), np.array(B)))
-        return real(S, B, state)
+    def record(S, B, state, *proof, **kw):
+        seen.append((S.copy(), np.array(B), proof + tuple(kw.values())))
+        return real(S, B, state, *proof, **kw)
 
-    monkeypatch.setattr(kalman, "_gain", record)
     sc = default_scenario(20, 1.0)
-    run_estimation(sc, generate_truth(sc), EstimatorSpec("ekf"), seed=0)
+    with monkeypatch.context() as m:
+        m.setattr(kalman, "_gain", record)
+        run_estimation(sc, generate_truth(sc), EstimatorSpec(kind), seed=0)
     return seen
 
 
@@ -361,10 +365,10 @@ def svd_calls(monkeypatch):
     return calls
 
 
-def _assert_gain_is_the_jittered_solve(S, B):
+def _assert_gain_is_the_jittered_solve(S, B, *proof):
     got_state, want_state = (EstimatorState(np.zeros(1)),
                              EstimatorState(np.zeros(1)))
-    got = _gain(S, B, got_state)
+    got = _gain(S, B, got_state, *proof)
     want = np.linalg.solve(_jittered(S, want_state), B)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -375,15 +379,71 @@ def _assert_gain_is_the_jittered_solve(S, B):
 
 def test_gain_equals_the_jittered_solve_on_a_noise_1_run(monkeypatch,
                                                          svd_calls):
-    """The bound clears the innovation covariances of a noise-1 run
-    without the SVD, and the gain is the plain solve's bit for bit."""
-    seen = _gain_inputs_of_a_noise_1_run(monkeypatch)
-    assert len(seen) == 20
-    svd_calls.clear()
-    for S, B in seen:
-        assert B.shape[1] > 1
-        assert _assert_gain_is_the_jittered_solve(S, B) == 0
+    """The proofs clear the innovation covariances of a noise-1 run of
+    each filter without the SVD, and the gain is the plain solve's bit
+    for bit."""
+    for kind, proof in (("ekf", (1.0,)), ("enkf", (1.0,)),
+                        ("ukf", (0.5, True))):
+        seen = _gain_inputs_of_a_noise_1_run(monkeypatch, kind)
+        assert len(seen) == 20
+        svd_calls.clear()
+        for S, B, used in seen:
+            assert B.shape[1] > 1
+            assert used == proof
+            assert _assert_gain_is_the_jittered_solve(S, B, *used) == 0
+        assert not svd_calls
+
+
+def test_trace_proof_clears_what_the_residual_bound_could_not(svd_calls):
+    """S = G G^T + r I with tr(S) <= 1e12 r is proven well conditioned by
+    its trace, though ||S||_F ||S^-1||_F exceeds the 5e11 a residual bound
+    on an approximate inverse needed; one column of B solves alike."""
+    r = 1.0
+    G = np.random.default_rng(2).standard_normal((14, 2)) * 1.5e5
+    S = G @ G.T + r * np.eye(14)
+    assert S.trace() <= 1e12 * r
+    assert (np.linalg.norm(S) * np.linalg.norm(np.linalg.inv(S))) > 5e11
+    B = np.random.default_rng(3).standard_normal((14, 24))
+    for b in (B, B[:, :1]):
+        assert _assert_gain_is_the_jittered_solve(S, b, r) == 0
     assert not svd_calls
+
+
+def _ukf_style(lam_min, r=1.0, k=14, seed=4):
+    """``sum_i wc_i dy_i dy_i^T + r I`` with the UKF's weights at n = 24,
+    whose negative centre term ``wc_0 dy_0 dy_0^T`` pulls the smallest
+    eigenvalue down to ``lam_min``."""
+    n, alpha, kappa, beta = 24, 0.1, -4.0, 2.0
+    lam = alpha ** 2 * (n + kappa) - n
+    wc = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
+    wc[0] = lam / (n + lam) + (1.0 - alpha ** 2 + beta)
+    assert wc[0] < 0
+    dy = np.random.default_rng(seed).standard_normal((2 * n + 1, k))
+    mu, V = np.linalg.eigh((dy[1:].T * wc[1:]) @ dy[1:] + r * np.eye(k))
+    dy[0] = math.sqrt((mu[0] - lam_min) / -wc[0]) * V[:, 0]
+    return (dy.T * wc) @ dy + r * np.eye(k)
+
+
+@pytest.mark.parametrize("lam_min, svd", [(0.8, 0), (0.3, 1)])
+def test_cholesky_proof_of_a_ukf_style_covariance(lam_min, svd, svd_calls):
+    """A negative centre term can make S - r I indefinite.  Where
+    S - (r/2) I still factors, the gain skips the SVD; where it does not,
+    the SVD decides.  Either way the bits are the jittered solve's."""
+    S = _ukf_style(lam_min)
+    np.testing.assert_allclose(np.linalg.eigvalsh(S)[0], lam_min, rtol=1e-9)
+    B = np.random.default_rng(5).standard_normal((14, 24))
+    assert _assert_gain_is_the_jittered_solve(S, B, 0.5, True) == 0
+    assert len(svd_calls) == svd
+
+
+@pytest.mark.parametrize("proof", [(1.0,), (1.0, True)])
+def test_trace_proof_stops_at_its_bound(proof, svd_calls):
+    """cond 5e12 with a true eigenvalue floor of 1: the trace exceeds
+    1e12, so neither proof clears it and the SVD decides."""
+    S = _with_condition(5e12)
+    B = np.random.default_rng(1).standard_normal((S.shape[0], 24))
+    assert _assert_gain_is_the_jittered_solve(S, B, *proof) == 0
+    assert len(svd_calls) == 1
 
 
 @pytest.mark.parametrize("cond, events", [

@@ -441,6 +441,29 @@ def test_step_batch_blowup(topo, params):
         step_batch(X, _paper_inputs(topo), topo, params)
 
 
+@pytest.mark.parametrize("order, want", [((0, 1, 2, 3, 4), (10, -math.inf)),
+                                         ((0, 1, 3, 2, 4), (10, math.inf))])
+def test_step_batch_blowup_names_the_first_index_of_any_row(topo, params,
+                                                            order, want):
+    """A population whose rows blow up at state indices 14, 10, 10 and 12
+    reports index 10, with the value of the first row non-finite there."""
+    u = _paper_inputs(topo)
+    X = np.vstack([equilibrium_state(topo, params, 60.0)] * 5)
+    for row, (i, v) in enumerate([(14, -math.inf), (10, -math.inf),
+                                  (10, math.inf), (12, math.inf)], 1):
+        X[row, i] = v
+    X = X[list(order)]
+    alone = []
+    for x in X[1:]:
+        with pytest.raises(BlowupError) as one:
+            step(x, u, topo, params)
+        alone.append((one.value.index, one.value.value))
+    assert min(alone, key=lambda iv: iv[0]) == want
+    with np.errstate(invalid="ignore"), pytest.raises(BlowupError) as err:
+        step_batch(X, u, topo, params)
+    assert (err.value.index, err.value.value) == want
+
+
 def test_step_rejects_wrong_input_length(topo, params):
     x = equilibrium_state(topo, params, 60.0)
     u = _paper_inputs(topo)

@@ -1,11 +1,13 @@
 """Sensor schedules, observation selectors, noise synthesis and the
 truncated observability Gramian."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from arzest.model import equilibrium_state, measure_h
+from arzest.model import OffRamp, OnRamp, Topology, equilibrium_state, measure_h
+from arzest.scenarios import default_schedule, paper_topology
 from arzest.sensing import (
     GramianResult,
     SensorSchedule,
@@ -81,6 +83,49 @@ def test_mobile_start_must_be_free_mainline(topo):
                            rotation_period=15, initial_positions=(10,))
     with pytest.raises(ValueError):
         mobile_positions_at(sched, topo, 0)
+
+
+def _positions_recomputed(sched, topo, k):
+    """The layout at step k, rebuilt from the schedule alone."""
+    slots = [s for s in range(1, topo.n_mainline + 1)
+             if s not in sched.fixed_segments]
+    period = sched.rotation_period
+    shift = 0 if period is None or math.isinf(period) else k // int(period)
+    return ([slots[(slots.index(s) + shift) % len(slots)]
+             for s in sched.initial_positions] + sorted(sched.fixed_segments))
+
+
+def _long_highway_schedule():
+    topo = Topology(30, (OnRamp(8), OnRamp(20)),
+                    (OffRamp(12, 0.15), OffRamp(25, 0.15)))
+    sched = replace(default_schedule(topo), mobile_count=5,
+                    initial_positions=(2, 8, 14, 20, 26))
+    return sched, topo
+
+
+@pytest.mark.parametrize("case", ["reference", "long-highway"])
+def test_positions_at_equals_the_per_step_layout(case):
+    """Over three full rotation cycles the cached layout shifts exactly as
+    a per-step rebuild of the free slots and sorted fixed segments."""
+    if case == "reference":
+        topo = paper_topology()
+        sched = default_schedule(topo)
+    else:
+        sched, topo = _long_highway_schedule()
+    n_free = topo.n_mainline - sum(1 <= s <= topo.n_mainline
+                                   for s in sched.fixed_segments)
+    for k in range(3 * n_free * int(sched.rotation_period)):
+        want = _positions_recomputed(sched, topo, k)
+        assert positions_at(sched, topo, k) == want
+        assert mobile_positions_at(sched, topo, k) == want[:sched.mobile_count]
+
+
+def test_positions_at_refuses_a_start_outside_the_free_slots(topo):
+    sched = SensorSchedule(fixed_segments=(9, 11, 12), mobile_count=1,
+                           rotation_period=15, initial_positions=(10,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mobile start 10 is not a free"):
+            positions_at(sched, topo, 0)
 
 
 def test_build_observation_rows(topo):
