@@ -292,10 +292,6 @@ def build_scenario(doc: dict) -> tuple[Scenario, float]:
         names = doc.get("estimators", ["mhe"])
         if not isinstance(names, list) or not names:
             raise ConfigError("estimators must be a non-empty list")
-        for name in names:
-            if name not in _KINDS:
-                raise ConfigError(f"unknown estimator {name!r}; choose from "
-                                  f"{', '.join(_KINDS)}")
 
         sid = doc.get("scenario_id", "config")
         if not isinstance(sid, str):

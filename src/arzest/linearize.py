@@ -60,16 +60,15 @@ TIE_TOL = 1e-6
 
 @dataclass
 class LinearizedModel:
-    """Affine update model, exact at (x0, u0).  ``f0`` is the net flux
-    ``nonlinear_f(x0, u0)`` the model was built from; ``x_next`` is
-    ``step(step_from, u0)`` when ``linearize_model`` was given a
-    ``step_from`` state, else None."""
+    """Affine update model, exact at the operating point (x0, u0) of
+    ``linearize_model``.  ``branch_tie`` flags a difference stencil that
+    met a flux branch tie.  ``f0`` is the net flux ``nonlinear_f(x0, u0)``
+    the model was built from; ``x_next`` is ``step(step_from, u0)`` when
+    ``linearize_model`` was given a ``step_from`` state, else None."""
 
     A_tilde: np.ndarray
     B: np.ndarray
     c1: np.ndarray
-    x0: np.ndarray
-    u0: np.ndarray
     branch_tie: bool = False
     f0: np.ndarray | None = None
     x_next: np.ndarray | None = None
@@ -77,11 +76,12 @@ class LinearizedModel:
 
 @dataclass
 class LinearizedMeasurement:
-    """Affine measurement model C_tilde x + c2, exact at x0."""
+    """Affine measurement model C_tilde x + c2, exact at the point x0 of
+    ``linearize_measurement``.  ``density_floored`` flags a density below
+    the floor ``EPS_RHO`` there."""
 
     C_tilde: np.ndarray
     c2: np.ndarray
-    x0: np.ndarray
     density_floored: bool = False
 
 
@@ -186,7 +186,7 @@ def linearize_model(x0, u0, topo: Topology, params: ModelParams,
     if step_from is not None:
         x_next = _update(np.asarray(step_from, dtype=float), F[1], topo,
                          params)
-    return LinearizedModel(A_tilde, B, c1, x0, u0, tie, f0, x_next)
+    return LinearizedModel(A_tilde, B, c1, tie, f0, x_next)
 
 
 def measurement_jacobian(x0, params: ModelParams) -> tuple[np.ndarray, bool]:
@@ -225,4 +225,4 @@ def linearize_measurement(x0, C_sel,
     C_tilde = C_sel @ H
     h0 = measure_h(x0, params)
     c2 = C_sel @ (h0 - H @ x0)
-    return LinearizedMeasurement(C_tilde, c2, x0, floored)
+    return LinearizedMeasurement(C_tilde, c2, floored)

@@ -217,16 +217,17 @@ class QPProblem:
 class SolveInfo:
     """How a ``solve_box_qp`` run ended, for the problem ``qp`` it solved.
 
-    ``kkt_floor`` is the largest roundoff floor eps (2|H||z| + |q|) of the
-    gradient at the returned point when the plain KKT test failed there (0
-    when it passed).  A solve is converged when every coordinate's
-    projected gradient lies below max(tol_kkt, its floor).
+    ``objective_history`` holds the objective at every iterate, the
+    returned point's last.  ``kkt_floor`` is the largest roundoff floor
+    eps (2|H||z| + |q|) of the gradient at the returned point when the
+    plain KKT test failed there (0 when it passed).  A solve is converged
+    when every coordinate's projected gradient lies below max(tol_kkt, its
+    floor).
     """
 
     converged: bool
     iterations: int
     kkt_residual: float
-    objective: float
     objective_history: list
     kkt_floor: float
     qp: QPProblem = field(repr=False, compare=False)
@@ -418,9 +419,8 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
     hist, it, abs_band = [], 0, None
     while True:
         Hz = _band_matvec(D, E, z)
-        f = float(z @ Hz + q @ z)
+        hist.append(float(z @ Hz + q @ z) + qp.const)
         g = 2.0 * Hz + q
-        hist.append(f + qp.const)
         r = _projected_gradient(z, g, lo, hi)
         kkt, floor = float(np.max(r)), 0.0
         converged = kkt <= tol_kkt
@@ -458,7 +458,7 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
         else:
             break  # the line search stalled
         z = z_new
-    return z, SolveInfo(converged, it, kkt, f + qp.const, hist, floor, qp)
+    return z, SolveInfo(converged, it, kkt, hist, floor, qp)
 
 
 class MheSession:

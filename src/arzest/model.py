@@ -23,8 +23,8 @@ optional merging ramp leg, a downstream leg and an optional diverging off
 leg with split alpha.  Plain boundaries, ramp entries and ramp exits have
 neither optional leg.  One junction formula (``_junctions``) serves every
 boundary, so nothing branches on the kind of junction, and one kernel
-evaluates it for one state and for a population alike (see "The flux
-kernel" below for what a single state costs).
+(``_kernel``, its only entry) evaluates it for one state and for a
+population alike (see "The flux kernel" below for what one state costs).
 """
 from __future__ import annotations
 
@@ -403,8 +403,9 @@ class _BoundaryTable:
     n_off: int  # the last n_off boundaries have an off leg
     gather: np.ndarray  # value indices: D_m w_m D_r w_r rho_d rho_o s_d s_o
     gather_legs: tuple  # slices of the gathered values: D_m w_m D_r w_r rho_in s_in
-    divisor: np.ndarray  # receiving candidates' divisors: 1 - alpha, then alpha
-    alpha_off: np.ndarray  # the off legs' splits
+    # Receiving candidates' divisors: 1 - alpha on every boundary, then the
+    # off legs' splits alpha, which the off legs' flows read as divisor[B:].
+    divisor: np.ndarray
     # Per state row, the position of its inflow and its outflow in the
     # flows [q_m q_r phi_m phi_r | q_d q_o phi_d phi_o] of _junctions.
     inflow: np.ndarray
@@ -472,7 +473,7 @@ def _compile_boundaries(topo: Topology) -> _BoundaryTable:
 
     return _BoundaryTable(
         legs, slots, DROP + 1, n_ramp, n_off, gather, gather_legs,
-        np.concatenate((1.0 - alpha, alpha[off])), alpha[off],
+        np.concatenate((1.0 - alpha, alpha[off])),
         positions(slots[2], slots[3, off], 2 * (B + n_ramp)),
         positions(slots[0], slots[1, :n_ramp], 0))
 
@@ -567,23 +568,17 @@ def _compile_jacobian(topo: Topology) -> _JacobianPlan:
     return _JacobianPlan(groups, base)
 
 
-def _inputs(u, topo: Topology) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1:] != (topo.n_u,):
-        raise ModelError(f"need {topo.n_u} inputs per row, got shape {u.shape}")
-    return u
-
-
 # ---------------------------------------------------------------------------
 # The flux kernel
 #
-# One formula evaluates every boundary, for one state or for many.  Callers
-# pass states along the last axis of x: one state (n_x,), a population
-# (M, n_x) of sigma points, ensemble members or finite-difference stencil
-# rows (``_compile_jacobian``), or any other stack.  ``_net_flux`` lays a
-# population out once as (n_x, P), one column per state, so that
-# everything the kernel indexes (state rows, leg values, boundaries,
-# flows) lies along the first axis; one state keeps its own (n_x,) array.
+# One formula evaluates every boundary, for one state or for many, and
+# ``_kernel`` is its only entry.  Callers pass states along the last axis
+# of x: one state (n_x,), a population (M, n_x) of sigma points, ensemble
+# members or finite-difference stencil rows (``_compile_jacobian``), or
+# any other stack.  ``_kernel`` checks their shapes and lays a population
+# out once as (n_x, P), one column per state, so that everything the
+# kernel indexes (state rows, leg values, boundaries, flows) lies along
+# the first axis; one state keeps its own (n_x,) array.
 # The boundary table's gather indices pull every leg value into a
 # contiguous (boundaries, P) block, ramp and off legs only where they
 # exist, so each array operation of ``_junctions`` is one loop over all
@@ -641,7 +636,6 @@ def _junctions(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
     merge).
     """
     R, O, B = t.n_ramp, t.n_off, len(D_m)
-    per_row = _per_row(D_m)
     D_k = D_m[:R]
     tot = D_k + D_r
     live = tot > 0.0
@@ -657,7 +651,8 @@ def _junctions(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
     w_bar[:R] = beta * w_m[:R] + rest * w_r
     # Downstream and off supplies in one call: S_d / (1 - alpha), S_o / alpha.
     w_in = np.concatenate((w_bar, w_bar[B - O:]))
-    cand = s_in * _supply(rho_in, w_in, v_f, rho_m, gamma) / t.divisor[per_row]
+    divisor = t.divisor[_per_row(D_m)]
+    cand = s_in * _supply(rho_in, w_in, v_f, rho_m, gamma) / divisor
     q, second = np.minimum(a, cand[:B]), np.maximum(a, cand[:B])
     lo, hi, c = q[B - O:], second[B - O:], cand[B:]
     np.maximum(lo, np.minimum(hi, c), out=hi)
@@ -669,7 +664,7 @@ def _junctions(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
     q_m[:R] *= beta
     q_r = q[:R] - q_m[:R]
     phi = q * w_bar
-    alpha = t.alpha_off[per_row]
+    alpha = divisor[B:]  # the off legs' splits
     q_o, phi_o = alpha * q[B - O:], alpha * phi[B - O:]
     flows = np.concatenate((q_m, q_r, q_m * w_m, q_r * w_r,
                             q[:B - O], q[B - O:] - q_o, q_o,
@@ -677,58 +672,63 @@ def _junctions(D_m, w_m, D_r, w_r, rho_in, s_in, t: _BoundaryTable,
     return flows, gap
 
 
-def _flows(xt, ut, topo: Topology, params: ModelParams, ds_scale=None):
-    """``_junctions``' flows and gaps at the states ``xt`` under the
-    inputs ``ut``, both as ``_population_major`` lays them out."""
-    v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
+def _per_row(a):
+    """Index that gives a per-row constant the trailing axes of ``a``."""
+    return (slice(None),) + (None,) * (a.ndim - 1)
+
+
+def _kernel(x, u, topo: Topology, params: ModelParams, ds_scale=None):
+    """The flux kernel's one entry: ``(xt, lead, flows, gap)``, where
+    ``flows`` and ``gap`` are ``_junctions``' at the states ``x`` (...,
+    n_x) under the inputs ``u`` (..., n_u), ``lead`` is the states' stack
+    shape and ``xt`` their layout: one state stays as it is, a population
+    becomes (n_x, P), with inputs (n_u, 1) shared by all states or
+    (n_u, P).  Inputs must broadcast to the states' stack; one state
+    takes one input vector."""
     t = topo._boundaries
-    nseg = len(xt) // 2
-    rho, psi = xt[0::2], xt[1::2]
-    V = np.empty((4 * nseg + len(ut) + 2,) + xt.shape[1:])
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n_x = len(t.inflow)
+    if x.shape[-1:] != (n_x,) or u.shape[-1:] != (topo.n_u,):
+        raise ModelError(f"need {n_x} state entries and {topo.n_u} inputs per "
+                         f"row, got shapes {x.shape} and {u.shape}")
+    lead = x.shape[:-1]
+    if lead or u.ndim > 1:
+        if u.ndim > 1 and u.shape[:-1] != lead:
+            try:
+                u = np.broadcast_to(u, lead + u.shape[-1:])
+            except ValueError:
+                raise ModelError(f"need inputs of shape {lead + u.shape[-1:]}"
+                                 f", got shape {u.shape}") from None
+        x = np.ascontiguousarray(x.reshape(-1, n_x).T)
+        u = u[:, None] if u.ndim == 1 else u.reshape(-1, u.shape[-1]).T
+    v_f, rho_m, gamma = params.v_f, params.rho_m, params.gamma
+    nseg = n_x // 2
+    rho, psi = x[0::2], x[1::2]
+    V = np.empty((4 * nseg + len(u) + 2,) + x.shape[1:])
     W = np.divide(psi, np.maximum(rho, EPS_RHO), out=V[nseg:2 * nseg])
     _demand(rho, W, v_f, rho_m, gamma, out=V[:nseg])
     V[2 * nseg:3 * nseg] = rho
     if ds_scale is None:
         V[3 * nseg:4 * nseg] = 1.0
     else:
-        sc = np.asarray(ds_scale, dtype=float)[_per_row(xt)]
+        sc = np.asarray(ds_scale, dtype=float)[_per_row(x)]
         V[:nseg] *= sc
         V[3 * nseg:4 * nseg] = sc
-    V[4 * nseg:-2] = ut
+    V[4 * nseg:-2] = u
     V[-2] = 0.0
     V[-1] = 1.0
     V = V.take(t.gather, axis=0)
-    return _junctions(*(V[sl] for sl in t.gather_legs), t,
-                      v_f, rho_m, gamma)
-
-
-def _per_row(a):
-    """Index that gives a per-row constant the trailing axes of ``a``."""
-    return (slice(None),) + (None,) * (a.ndim - 1)
-
-
-def _population_major(x, u, topo: Topology):
-    """States and inputs as columns: ``(xt, ut, lead)``, where ``lead``
-    is the stack shape of the states.  One state and one input vector
-    stay as they are; a population becomes (n_x, P), with inputs
-    (n_u, 1) shared by all states or (n_u, P)."""
-    x = np.asarray(x, dtype=float)
-    u = _inputs(u, topo)
-    if x.ndim == 1 and u.ndim == 1:
-        return x, u, ()
-    if u.ndim > 1 and u.shape[:-1] != x.shape[:-1]:
-        u = np.broadcast_to(u, x.shape[:-1] + u.shape[-1:])
-    xt = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
-    ut = u[:, None] if u.ndim == 1 else u.reshape(-1, u.shape[-1]).T
-    return xt, ut, x.shape[:-1]
+    flows, gap = _junctions(*(V[sl] for sl in t.gather_legs), t,
+                            v_f, rho_m, gamma)
+    return x, lead, flows, gap
 
 
 def _net_flux(x, u, topo: Topology, params: ModelParams, ds_scale=None):
     """Stacked net fluxes, C-contiguous in the shape of ``x``, and the
     branch-tie margins (..., boundaries) of every state."""
-    xt, ut, lead = _population_major(x, u, topo)
+    xt, lead, flows, gap = _kernel(x, u, topo, params, ds_scale)
     t = topo._boundaries
-    flows, gap = _flows(xt, ut, topo, params, ds_scale)
     f = np.empty(xt.shape[::-1])
     np.subtract(flows.take(t.inflow, axis=0), flows.take(t.outflow, axis=0),
                 out=f.T)
@@ -774,8 +774,10 @@ def compute_fluxes(x, u, topo: Topology, params: ModelParams,
     segments (per global segment id - 1), which is how a local speed
     reduction is imposed on the truth model.
     """
-    xt, ut, _ = _population_major(x, u, topo)
-    flows, gap = _flows(xt, ut, topo, params, ds_scale)
+    xt, lead, flows, gap = _kernel(x, u, topo, params, ds_scale)
+    if lead:
+        raise ModelError(f"need one state of shape {xt.shape[:1]}, got "
+                         f"shape {lead + xt.shape[:1]}")
     t = topo._boundaries
     B, R, O = t.slots.shape[1], t.n_ramp, t.n_off
     # The flows' legs in order, sending then receiving, and their slots.
@@ -876,9 +878,8 @@ def _advance(x, u, topo: Topology, params: ModelParams, ds_scale=None,
     """The update of ``step`` for one state or, row by row, a population.
     The net flux and the update stay in the kernel's (n_x, P) layout, and
     the C-contiguous (..., n_x) result is written once."""
-    xt, ut, lead = _population_major(x, u, topo)
+    xt, lead, flows, gap = _kernel(x, u, topo, params, ds_scale)
     t = topo._boundaries
-    flows, gap = _flows(xt, ut, topo, params, ds_scale)
     f = flows.take(t.inflow, axis=0) - flows.take(t.outflow, axis=0)
     x_new = _update(xt, f, topo, params, gap, diag)
     return np.ascontiguousarray(x_new.T).reshape(lead + xt.shape[:1])

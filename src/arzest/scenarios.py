@@ -110,7 +110,8 @@ class EstimatorSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}")
+            raise ValueError(f"unknown estimator {self.kind!r}; choose from "
+                             f"{', '.join(_KINDS)}")
 
 
 @dataclass(frozen=True)

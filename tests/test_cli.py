@@ -185,9 +185,11 @@ def test_malformed_json_reports_position(tmp_path, capsys):
 
 
 def test_bad_estimator_name(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"estimators": ["xkf"]})
-    assert cli.main(["estimate", "--config", cfg]) == 2
-    assert "xkf" in capsys.readouterr().err
+    for name in ("xkf", "kf"):
+        cfg = _write_config(tmp_path, {"estimators": [name]})
+        assert cli.main(["estimate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert repr(name) in err and "choose from ekf, ukf, enkf, mhe" in err
 
 
 def test_invalid_param_value(tmp_path, capsys):

@@ -6,6 +6,7 @@ expressions (see the inline formulas next to each literal) and frozen here.
 """
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -472,6 +473,42 @@ def test_step_rejects_wrong_input_length(topo, params):
             step(x, bad, topo, params)
         with pytest.raises(ModelError, match="inputs"):
             step_batch(x[None, :], bad, topo, params)
+
+
+def _shapes(*shapes):
+    """A pattern matching the shapes in order, anywhere in a message."""
+    return ".*".join(re.escape(str(s)) for s in shapes)
+
+
+@pytest.mark.parametrize("extra", [-2, -1, 1])
+def test_kernel_names_a_state_of_the_wrong_width(topo, params, extra):
+    x = equilibrium_state(topo, params, 60.0)
+    bad = np.resize(x, x.size + extra)
+    u = _paper_inputs(topo)
+    for call, states in ((step, bad), (nonlinear_f, bad),
+                         (compute_fluxes, bad), (step_batch, bad[None, :])):
+        with pytest.raises(ModelError, match=_shapes(topo.n_x, states.shape)):
+            call(states, u, topo, params)
+
+
+def test_kernel_names_inputs_that_do_not_fit_the_states(topo, params):
+    """Per-row inputs must broadcast to the states' stack shape, one state
+    takes one input vector and ``compute_fluxes`` takes one state; each
+    error names the expected and the given shape."""
+    x = equilibrium_state(topo, params, 60.0)
+    u = _paper_inputs(topo)
+    X, U = np.vstack([x] * 5), np.vstack([u] * 3)
+    with pytest.raises(ModelError, match=_shapes((5, topo.n_u), (3, topo.n_u))):
+        step_batch(X, U, topo, params)
+    for call in (step, nonlinear_f, compute_fluxes):
+        with pytest.raises(ModelError,
+                           match=_shapes((topo.n_u,), (3, topo.n_u))):
+            call(x, U, topo, params)
+    with pytest.raises(ModelError, match=_shapes((topo.n_x,), X[:2].shape)):
+        compute_fluxes(X[:2], u, topo, params)
+    # Inputs that numpy broadcasts to the states' stack are accepted.
+    np.testing.assert_array_equal(step_batch(X, u[None, :], topo, params),
+                                  step_batch(X, u, topo, params))
 
 
 # ---------------------------------------------------------------------------
