@@ -172,7 +172,8 @@ def _gain(S: np.ndarray, B: np.ndarray, state: EstimatorState,
     goes to ``_jittered``'s SVD, which counts its ridge escalations in
     ``state`` and refuses a non-finite S.  A non-finite entry of the
     factors that S is formed from reaches S's diagonal, so such an S fails
-    the trace test.
+    the trace test.  An S that the solve still finds singular after the
+    ridge raises ``EstimatorError``.
     """
     if floor > 0.0 and S.trace() <= 1e12 * floor:
         try:
@@ -181,7 +182,12 @@ def _gain(S: np.ndarray, B: np.ndarray, state: EstimatorState,
             return np.linalg.solve(S, B)
         except np.linalg.LinAlgError:
             pass  # not proven positive definite: the SVD decides
-    return np.linalg.solve(_jittered(S, state), B)
+    try:
+        return np.linalg.solve(_jittered(S, state), B)
+    except np.linalg.LinAlgError as exc:
+        raise EstimatorError(
+            f"step {state.k + 1}: the innovation covariance of {len(S)} "
+            f"measurements is singular even with a ridge ({exc})") from exc
 
 
 def _jittered(S: np.ndarray, state: EstimatorState) -> np.ndarray:

@@ -30,8 +30,10 @@ inactive costs one direct solve.  Newton reads only the band: every linear
 system, the start point's included, is solved by block elimination along
 the window, one LU per block instead of one on the whole window, and its
 matrix-vector products are block products.  A session needs positive
-arrival and model-residual weights: then every pivot block of the
-elimination is positive definite, whatever the sensor layout.
+arrival and model-residual weights: then, in exact arithmetic, every pivot
+block of the elimination is positive definite, whatever the sensor layout.
+In float64 an ill-conditioned window can still leave a pivot singular; the
+session then raises ``EstimatorError`` naming the step and the window.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kalman import EstimatorError
 from .linearize import linearize_measurement, linearize_model
 from .model import ModelParams, Topology, _box_and_scale, _clip, step
 
@@ -259,10 +262,9 @@ def operating_point(prev_window) -> np.ndarray:
 def predict_arrival(x_prev, u_prev, topo: Topology, params: ModelParams) -> np.ndarray:
     """Arrival state: one nonlinear step from the estimate before the window.
 
-    ``MheSession`` gets the same state from the flux call of its
-    linearization, unless it was given a ``model_linearizer`` or
-    ``predictor`` hook; then it calls the predictor, this function by
-    default.
+    ``MheSession.linearize`` reads the same state from one more row of its
+    linearization's flux call, so the session does not call this; a
+    ``linearizer`` given to the session may.
     """
     return step(x_prev, u_prev, topo, params)
 
@@ -466,24 +468,24 @@ class MheSession:
 
     ``step(u, y, C_sel)`` consumes the input that drove the latest
     transition together with the new measurement and returns the estimate.
-    The linearization and arrival-prediction routines can be replaced,
-    which turns the session into an exact estimator for affine models.
     The arrival weight ``mu`` and the model weight ``w2`` must be positive,
     so that the window Hessian is positive definite: the arrival term pins
     the first block and each model residual the next.
 
     The last window's solution is kept, clipped, as one (n_blocks, n_x)
-    array: its mean is the next operating point, its last row x_hat[t-1].
-    Each step makes the entry for its time t and, with it, the arrival
-    prior that entry will carry once it starts the window.  By default the
-    prior comes from one more row of the linearization's flux call.  With
-    a ``model_linearizer`` or ``predictor`` hook, the step calls
-    ``predictor(x_hat[t-1], u)`` instead, right after linearizing; a hook
-    that is not given keeps its default.
+    array: its mean is the next operating point x_o, its last row
+    x_hat[t-1].  Each step makes the entry for its time t with one call,
+    ``linearize(x_o, u, x_hat[t-1], C_sel)``, which returns the entry's
+    ``LinearizedModel``, its ``LinearizedMeasurement`` and the arrival
+    prior that the entry carries once it starts the window.  A
+    ``linearizer`` of that signature replaces the method: given frozen
+    affine models and their step, the session is an exact estimator for
+    an affine system.  A window solve that meets a singular pivot block in
+    float64 raises ``EstimatorError``.
     """
 
     def __init__(self, x0, cfg: MheConfig, topo: Topology, params: ModelParams,
-                 model_linearizer=None, meas_linearizer=None, predictor=None):
+                 linearizer=None):
         for name in ("mu", "w2"):
             if not getattr(cfg, name) > 0:
                 raise ValueError(f"MheSession needs a positive {name}, got "
@@ -501,29 +503,21 @@ class MheSession:
         self._window = self.x0[None, :]
         self.failed_solves = 0
         self.last_info: SolveInfo | None = None
+        if linearizer is not None:
+            self.linearize = linearizer
 
-        self._meas = meas_linearizer or (
-            lambda x, C: linearize_measurement(x, C, params))
-        # (x_o, u, x_prev) -> (model linearized at (x_o, u), step(x_prev, u))
-        if model_linearizer is None and predictor is None:
-            def transition(x_o, u, x_prev):
-                lin = linearize_model(x_o, u, topo, params, step_from=x_prev)
-                return lin, lin.x_next
-        else:
-            linearize = model_linearizer or (
-                lambda x, u: linearize_model(x, u, topo, params))
-            predict = predictor or (
-                lambda x, u: predict_arrival(x, u, topo, params))
-
-            def transition(x_o, u, x_prev):
-                return linearize(x_o, u), predict(x_prev, u)
-        self._transition = transition
+    def linearize(self, x_o, u, x_prev, C_sel):
+        """The model and the measurement linearized at ``(x_o, u)``, and the
+        arrival prior ``step(x_prev, u)``, read from one more row of the
+        model's flux call."""
+        lin = linearize_model(x_o, u, self.topo, self.params, step_from=x_prev)
+        return lin, linearize_measurement(x_o, C_sel, self.params), lin.x_next
 
     def _make_entry(self, time: int, u, y, C_sel) -> HorizonEntry:
         x_o = operating_point(self._window)
         u = np.asarray(u, dtype=float).copy()
-        lin, arrival = self._transition(x_o, u, self._window[-1])
-        lm = self._meas(x_o, np.asarray(C_sel, dtype=float))
+        lin, lm, arrival = self.linearize(x_o, u, self._window[-1],
+                                          np.asarray(C_sel, dtype=float))
         d = self._d
         A_s = lin.A_tilde * self._ratio
         B_s = lin.B / d[:, None]
@@ -545,7 +539,13 @@ class MheSession:
             x_bar = self.buffer.entries[0].arrival
         qp = assemble_qp(self.buffer, x_bar / self._d, self.cfg,
                          self._lo_s, self._hi_s)
-        z, info = solve_box_qp(qp, self.cfg.tol_kkt, self.cfg.max_iter)
+        try:
+            z, info = solve_box_qp(qp, self.cfg.tol_kkt, self.cfg.max_iter)
+        except np.linalg.LinAlgError as exc:
+            raise EstimatorError(
+                f"MHE step {self.t}: the window solve from time "
+                f"{self.buffer.window_start()} over {qp.n_blocks} blocks met "
+                f"a singular pivot block ({exc})") from exc
         self.last_info = info
         if not info.converged:
             self.failed_solves += 1

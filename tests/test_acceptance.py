@@ -299,9 +299,7 @@ def test_c05_exact_model_recovery(paper_case):
 
     sess = MheSession(
         x_eq.copy(), cfg, topo, params,
-        model_linearizer=lambda x, u_: lin,
-        meas_linearizer=lambda x, C: lm,
-        predictor=lambda x, u_: affine_step(x),
+        linearizer=lambda x, u_, x_prev, C: (lin, lm, affine_step(x_prev)),
     )
     x = x_eq.copy()
     errs = []

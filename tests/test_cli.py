@@ -2,10 +2,14 @@
 import csv
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import arzest
 import arzest.cli as cli
 import arzest.scenarios as scenarios
 from arzest.model import BlowupError
@@ -406,3 +410,44 @@ def test_empty_config_is_the_reference_scenario():
 def test_config_errors_name_their_key(doc, cause):
     with pytest.raises(cli.ConfigError, match=re.escape(cause)):
         cli.build_scenario(doc)
+
+
+_OVERFLOW = {"params": {"gamma": 100, "max_density_veh_km": 1e6},
+             "duration_s": 5}
+_ROTATION = {"duration_s": 10,
+             "jam": {"segment": 6, "start": 4, "end": 9, "scale": 1},
+             "noise": {"std": 1e6}, "estimators": ["mhe", "enkf"]}
+
+
+@pytest.mark.parametrize("doc, args, code, cause", [
+    (_OVERFLOW, ["estimate"], 2, "rho_m ** gamma overflows a float"),
+    (_OVERFLOW, ["gramian"], 2, "rho_m ** gamma overflows a float"),
+    ({"duration_s": 60, "inputs": {"w_in_kmh": 0}},
+     ["estimate", "--estimator", "ekf"], 3,
+     "innovation covariance of 14 measurements is singular"),
+    ({"duration_s": 60, "inputs": {"w_in_kmh": 1e9}},
+     ["estimate", "--estimator", "mhe"], 3, "met a singular pivot block"),
+    (_ROTATION, ["sweep", "--sweep", "rotation"], 3,
+     "met a singular pivot block"),
+    (_ROTATION, ["sweep", "--sweep", "rotation", "--jobs", "2"], 3,
+     "met a singular pivot block"),
+], ids=["overflow-estimate", "overflow-gramian", "ekf-singular",
+        "mhe-singular", "sweep", "sweep-jobs-2"])
+def test_numerical_failures_exit_with_their_cause(tmp_path, doc, args, code,
+                                                  cause):
+    """Parameters whose pressure term overflows are a config error, and a
+    singular Kalman innovation covariance or MHE window solve is a runtime
+    error: each exits with its code and names its cause, with no traceback,
+    also when the error crosses the sweep's worker pool."""
+    if args[0] == "sweep":
+        args = args + ["--out", str(tmp_path / "rows.csv")]
+    src = os.path.dirname(os.path.dirname(arzest.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "arzest.cli", args[0], "--config",
+         _write_config(tmp_path, doc), *args[1:]],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == code, done.stderr
+    assert cause in done.stderr
+    assert "Traceback" not in done.stderr

@@ -545,9 +545,7 @@ def test_exact_recovery_with_affine_hooks(topo, params):
 
     sess = MheSession(
         x_eq.copy(), MheConfig(), topo, params,
-        model_linearizer=lambda x, u_: lin,
-        meas_linearizer=lambda x, C: lm,
-        predictor=lambda x, u_: affine_step(x),
+        linearizer=lambda x, u_, x_prev, C: (lin, lm, affine_step(x_prev)),
     )
     x = x_eq.copy()
     worst = 0.0
@@ -569,15 +567,19 @@ def reference_truth():
 def test_fused_arrival_matches_the_predictor_hook(reference_truth, noise):
     """The arrival a default session takes from its linearization's flux
     call is the one ``predict_arrival`` gives: over 200 reference steps with
-    seed 3's noise stream (that of ``run_estimation``), a session given
-    ``predict_arrival`` as its hook returns the same bits and flags the same
-    unconverged solves, among them step 156's at noise 40."""
+    seed 3's noise stream (that of ``run_estimation``), a session whose
+    ``linearizer`` takes the arrival from ``predict_arrival`` returns the
+    same bits and flags the same unconverged solves, among them step 156's
+    at noise 40."""
     sc, truth = reference_truth
     topo, params = sc.topo, sc.params
     fused = MheSession(truth.traj[0], MheConfig(), topo, params)
     hooked = MheSession(
         truth.traj[0], MheConfig(), topo, params,
-        predictor=lambda x, u: predict_arrival(x, u, topo, params))
+        linearizer=lambda x, u, x_prev, C: (
+            linearize_model(x, u, topo, params),
+            linearize_measurement(x, C, params),
+            predict_arrival(x_prev, u, topo, params)))
     noise_ss, _ = np.random.SeedSequence(3).spawn(2)
     rng = np.random.default_rng(noise_ss)
     unconverged = []
