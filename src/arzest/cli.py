@@ -285,8 +285,9 @@ def build_scenario(doc: dict) -> tuple[Scenario, float]:
         duration_s = _num(doc, "duration_s", "configuration",
                           ref.t_f * (ref.params.T * 3600.0), ">")
         t_f = int(round(duration_s / step_s))
-        if t_f < 1:
-            raise ConfigError("duration_s must cover at least one step")
+        if not 1 <= t_f < sys.maxsize:
+            raise ConfigError("duration_s must cover at least one step and "
+                              f"fewer than {sys.maxsize} steps")
         noise = _section(doc, "noise", {"std"})
 
         names = doc.get("estimators", ["mhe"])
@@ -381,7 +382,11 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     sc, _ = build_scenario(_load_config(args.config))
-    write_sweep_csv(_SWEEPS[args.sweep](sc, jobs=args.jobs), args.out)
+    try:
+        rows = _SWEEPS[args.sweep](sc, jobs=args.jobs)
+    except ValueError as exc:  # a sweep's sensor layout the network refuses
+        raise ConfigError(f"the {args.sweep} sweep: {exc}") from exc
+    write_sweep_csv(rows, args.out)
     return EXIT_OK
 
 

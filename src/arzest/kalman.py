@@ -5,6 +5,14 @@ that drove the last transition and the new (possibly empty) measurement,
 produce the next bounded state estimate.  Covariances are kept in a scaled
 space where relative-flow rows are divided by v_f, so both state
 quantities live on the veh/km scale; Q = q I and R = r I apply there.
+
+The measurement ``C_sel`` is a row selector, as
+``sensing.build_observation`` makes it: one 1 per row, in the column of
+the measured quantity.  Each step picks those rows by index,
+``rows = C_sel.argmax(axis=1)``, instead of multiplying by the selector.
+The picks use ``ndarray.take``, which returns a C-ordered array: a
+column pick ``Y[:, rows]`` returns an F-ordered one, on which the
+ensemble reductions and ``Ydev.T @ Ydev`` round differently.
 """
 from __future__ import annotations
 
@@ -14,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linearize import linearize_model, measurement_jacobian
+from .linearize import _relaxation, _stencils, measurement_jacobian
 from .model import (
     ModelParams,
     Topology,
@@ -126,22 +134,22 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     lo, hi, d, ratio = _box_and_scale(topo, params)
     n = state.x.size
 
-    lin = linearize_model(state.x, u, topo, params)
-    # Similarity-transform the affine model into the scaled space.
-    As = lin.A_tilde * ratio
-    # The nonlinear prediction step(x, u), from the flux the linearization
-    # already evaluated at x.
-    x_pred = _update(state.x, lin.f0, topo, params)
+    # Only the state block of the model's Jacobian: linearize_model's
+    # A_tilde = A + (T/l) J_x, similarity-transformed into the scaled
+    # space.  The same flux call's unperturbed row gives the prediction
+    # step(x, u).
+    (Jx,), _, F = _stencils(state.x, u, topo, params, None, "x")
+    As = (_relaxation(topo, params) + params.T / params.l * Jx) * ratio
+    x_pred = _update(state.x, F[0], topo, params)
     P_pred = _sym(As @ state.P @ As.T + cfg.q * _eye(n))
 
-    C_sel = np.asarray(C_sel, dtype=float)
-    Cs = (C_sel @ measurement_jacobian(x_pred, params)[0]) * d[None, :]
-    innov = np.asarray(y, dtype=float) - C_sel @ measure_h(x_pred, params)
-    S = Cs @ P_pred @ Cs.T + cfg.r * _eye(C_sel.shape[0])
+    rows = np.asarray(C_sel).argmax(axis=1)
+    Cs = measurement_jacobian(x_pred, params)[0].take(rows, axis=0) * d
+    innov = np.asarray(y, dtype=float) - measure_h(x_pred, params).take(rows)
+    S = Cs @ P_pred @ Cs.T + cfg.r * _eye(rows.size)
     # K = P C^T S^-1 via a solve on the symmetric innovation covariance.
     K = _gain(S, Cs @ P_pred, state, cfg.r).T
-    x_new = x_pred + d * (K @ innov)
-    x_new = project_to_bounds(x_new, lo, hi)
+    x_new = project_to_bounds(x_pred + d * (K @ innov), lo, hi)
     IKC = _eye(n) - K @ Cs
     P_new = _sym(IKC @ P_pred @ IKC.T + cfg.r * (K @ K.T))
     return EstimatorState(x_new, P=P_new, k=state.k + 1,
@@ -258,11 +266,11 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     dev_w = dev.T * wc
     P_pred = _sym(dev_w @ dev + cfg.q * _eye(n))
 
-    C_sel = np.asarray(C_sel, dtype=float)
-    Y = measure_h(prop * d[None, :], params) @ C_sel.T
+    rows = np.asarray(C_sel).argmax(axis=1)
+    Y = measure_h(prop * d[None, :], params).take(rows, axis=1)
     y_pred = wm @ Y
     dy = Y - y_pred
-    S = (dy.T * wc) @ dy + cfg.r * _eye(C_sel.shape[0])
+    S = (dy.T * wc) @ dy + cfg.r * _eye(rows.size)
     P_xy = dev_w @ dy
     K = _gain(S, P_xy.T, state, 0.5 * cfg.r, check=True).T
     x_new_s = x_pred_s + K @ (np.asarray(y, dtype=float) - y_pred)
@@ -289,22 +297,19 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
         noise += ens
         ens = project_to_bounds(noise, lo, hi)
 
-    C_sel = np.asarray(C_sel, dtype=float)
-    if C_sel.shape[0] > 0:
-        n_p = C_sel.shape[0]
-        Y = measure_h(ens, params) @ C_sel.T
+    rows = np.asarray(C_sel).argmax(axis=1)
+    if rows.size > 0:
+        Y = measure_h(ens, params).take(rows, axis=1)
         ens_s = ens / d
-        xm_s = np.add.reduce(ens_s, axis=0) / M
-        ym = np.add.reduce(Y, axis=0) / M
-        Xdev = ens_s - xm_s
-        Ydev = Y - ym
+        Xdev = ens_s - np.add.reduce(ens_s, axis=0) / M
+        Ydev = Y - np.add.reduce(Y, axis=0) / M
         P_xy = Xdev.T @ Ydev / (M - 1)
-        P_yy = Ydev.T @ Ydev / (M - 1) + cfg.r * _eye(n_p)
+        P_yy = Ydev.T @ Ydev / (M - 1) + cfg.r * _eye(rows.size)
         K = _gain(P_yy, P_xy.T, state, cfg.r).T
         y = np.asarray(y, dtype=float)
         half = math.sqrt(3.0 * cfg.r)
         # Observation perturbations mirror the uniform measurement noise.
-        pert = rng.uniform(-half, half, (M, n_p))
+        pert = rng.uniform(-half, half, Y.shape)
         ens_s = ens_s + (y + pert - Y) @ K.T
         ens = project_to_bounds(ens_s * d, lo, hi)
 

@@ -15,10 +15,18 @@ networks that is 7 state and 2 input groups, so ``linearize_model``
 evaluates 18 perturbed states where a dense stencil evaluates
 2 (n_x + n_u): 62 on the 9-cell network and 154 on the 30-cell one.  The
 result equals the dense stencil's bit for bit, branch-tie flag included.
-The same call carries the unperturbed state, whose net flux is the
-model's ``f0``, and on request one more state to step with the same input,
-so that a caller that also needs a one-step prediction pays for one flux
-call instead of two.
+The same call carries the unperturbed state, whose net flux fixes
+``c1``, and on request one more state to step with the same input, so
+that a caller that also needs a one-step prediction pays for one flux call
+instead of two.  A caller that needs only the state block (the EKF) asks
+``_stencils`` for the state groups alone and steps from the unperturbed
+row's flux.
+
+A measurement selector ``C_sel`` is a 0/1 row selector, as
+``sensing.build_observation`` makes it.  The rows it selects are picked
+by index (``C_sel.argmax(axis=1)``) with ``ndarray.take``, which keeps
+the C order that later products round in (see ``kalman``); a product
+with the selector would only add exact zeros.
 """
 from __future__ import annotations
 
@@ -62,15 +70,13 @@ TIE_TOL = 1e-6
 class LinearizedModel:
     """Affine update model, exact at the operating point (x0, u0) of
     ``linearize_model``.  ``branch_tie`` flags a difference stencil that
-    met a flux branch tie.  ``f0`` is the net flux ``nonlinear_f(x0, u0)``
-    the model was built from; ``x_next`` is ``step(step_from, u0)`` when
+    met a flux branch tie.  ``x_next`` is ``step(step_from, u0)`` when
     ``linearize_model`` was given a ``step_from`` state, else None."""
 
     A_tilde: np.ndarray
     B: np.ndarray
     c1: np.ndarray
     branch_tie: bool = False
-    f0: np.ndarray | None = None
     x_next: np.ndarray | None = None
 
 
@@ -178,15 +184,14 @@ def linearize_model(x0, u0, topo: Topology, params: ModelParams,
     g = params.T / params.l  # the input gain G is g * I
     (Jx, Ju), tie, F = _stencils(x0, u0, topo, params, ds_scale, "xu",
                                  step_from)
-    f0 = F[0]
     A_tilde = _relaxation(topo, params) + g * Jx
     B = g * Ju
-    c1 = g * (f0 - Jx @ x0 - Ju @ u0)
+    c1 = g * (F[0] - Jx @ x0 - Ju @ u0)
     x_next = None
     if step_from is not None:
         x_next = _update(np.asarray(step_from, dtype=float), F[1], topo,
                          params)
-    return LinearizedModel(A_tilde, B, c1, tie, f0, x_next)
+    return LinearizedModel(A_tilde, B, c1, tie, x_next)
 
 
 def measurement_jacobian(x0, params: ModelParams) -> tuple[np.ndarray, bool]:
@@ -214,15 +219,16 @@ def measurement_jacobian(x0, params: ModelParams) -> tuple[np.ndarray, bool]:
 
 def linearize_measurement(x0, C_sel,
                           params: ModelParams) -> LinearizedMeasurement:
-    """Affine measurement model through a row selector C_sel.
+    """Affine measurement model of the rows that C_sel selects.
 
-    ``c2`` makes the affine map exact at x0:
+    ``C_sel`` is a row selector, as ``sensing.build_observation`` makes
+    it: each row holds a single 1, in the column of the measured quantity.
+    ``C_tilde`` is ``C_sel @ H``, picked row by row with ``ndarray.take``
+    rather than multiplied, and ``c2`` makes the affine map exact at x0:
     ``C_tilde x0 + c2 = C_sel measure_h(x0)``.
     """
     x0 = np.asarray(x0, dtype=float)
-    C_sel = np.asarray(C_sel, dtype=float)
+    rows = np.asarray(C_sel).argmax(axis=1)
     H, floored = measurement_jacobian(x0, params)
-    C_tilde = C_sel @ H
-    h0 = measure_h(x0, params)
-    c2 = C_sel @ (h0 - H @ x0)
-    return LinearizedMeasurement(C_tilde, c2, floored)
+    c2 = (measure_h(x0, params) - H @ x0).take(rows)
+    return LinearizedMeasurement(H.take(rows, axis=0), c2, floored)

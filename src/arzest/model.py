@@ -123,11 +123,13 @@ class ModelParams:
             raise ModelError("tau must exceed 1 (relaxation factor in (0, 1))")
         # The pressure derivative divides by rho_m ** gamma.
         try:
-            math.pow(self.rho_m, self.gamma)
+            power = math.pow(self.rho_m, self.gamma)
         except OverflowError:
+            power = math.inf
+        if not 0.0 < power < math.inf:
             raise ModelError(
-                f"rho_m ** gamma overflows a float (rho_m = {self.rho_m}, "
-                f"gamma = {self.gamma})") from None
+                f"rho_m ** gamma {'overflows' if power else 'underflows'} a "
+                f"float (rho_m = {self.rho_m}, gamma = {self.gamma})")
         # CFL: information must not cross a whole cell in one step.
         if self.v_f * self.T / self.l > 1 + 1e-12:
             raise ModelError(

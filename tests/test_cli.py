@@ -1,17 +1,24 @@
 """Command line interface: config parsing, CSV/JSON outputs, exit codes."""
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import arzest
 import arzest.cli as cli
 import arzest.scenarios as scenarios
+from arzest.kalman import _KINDS
 from arzest.model import BlowupError
 
 
@@ -414,6 +421,8 @@ def test_config_errors_name_their_key(doc, cause):
 
 _OVERFLOW = {"params": {"gamma": 100, "max_density_veh_km": 1e6},
              "duration_s": 5}
+_UNDERFLOW = {"params": {"gamma": 2000, "max_density_veh_km": 0.5},
+              "duration_s": 5}
 _ROTATION = {"duration_s": 10,
              "jam": {"segment": 6, "start": 4, "end": 9, "scale": 1},
              "noise": {"std": 1e6}, "estimators": ["mhe", "enkf"]}
@@ -422,6 +431,9 @@ _ROTATION = {"duration_s": 10,
 @pytest.mark.parametrize("doc, args, code, cause", [
     (_OVERFLOW, ["estimate"], 2, "rho_m ** gamma overflows a float"),
     (_OVERFLOW, ["gramian"], 2, "rho_m ** gamma overflows a float"),
+    (_UNDERFLOW, ["simulate"], 2, "rho_m ** gamma underflows a float"),
+    (_UNDERFLOW, ["estimate"], 2, "rho_m ** gamma underflows a float"),
+    (_UNDERFLOW, ["gramian"], 2, "rho_m ** gamma underflows a float"),
     ({"duration_s": 60, "inputs": {"w_in_kmh": 0}},
      ["estimate", "--estimator", "ekf"], 3,
      "innovation covariance of 14 measurements is singular"),
@@ -431,14 +443,15 @@ _ROTATION = {"duration_s": 10,
      "met a singular pivot block"),
     (_ROTATION, ["sweep", "--sweep", "rotation", "--jobs", "2"], 3,
      "met a singular pivot block"),
-], ids=["overflow-estimate", "overflow-gramian", "ekf-singular",
+], ids=["overflow-estimate", "overflow-gramian", "underflow-simulate",
+        "underflow-estimate", "underflow-gramian", "ekf-singular",
         "mhe-singular", "sweep", "sweep-jobs-2"])
 def test_numerical_failures_exit_with_their_cause(tmp_path, doc, args, code,
                                                   cause):
-    """Parameters whose pressure term overflows are a config error, and a
-    singular Kalman innovation covariance or MHE window solve is a runtime
-    error: each exits with its code and names its cause, with no traceback,
-    also when the error crosses the sweep's worker pool."""
+    """Parameters whose pressure term overflows or underflows are a config
+    error, and a singular Kalman innovation covariance or MHE window solve
+    is a runtime error: each exits with its code and names its cause, with
+    no traceback, also when the error crosses the sweep's worker pool."""
     if args[0] == "sweep":
         args = args + ["--out", str(tmp_path / "rows.csv")]
     src = os.path.dirname(os.path.dirname(arzest.__file__))
@@ -451,3 +464,121 @@ def test_numerical_failures_exit_with_their_cause(tmp_path, doc, args, code,
     assert done.returncode == code, done.stderr
     assert cause in done.stderr
     assert "Traceback" not in done.stderr
+
+
+# Values that no config key accepts, or accepts only at an extreme.
+_ODD = (0, -1, -1e-300, 1e300, 10 ** 400, True, None, "1", [], {})
+
+
+def _or_odd(strategy, odd=_ODD):
+    """A value from ``strategy``, or about one time in ten an odd one.
+    (Hypothesis draws the simplest integer, 0, more often than the rest.)"""
+    return st.integers(0, 9).flatmap(
+        lambda i: st.sampled_from(odd) if i == 9 else strategy)
+
+
+def _value(*good, odd=_ODD):
+    return _or_odd(st.sampled_from(good), odd)
+
+
+def _ints(lo, hi):
+    return _or_odd(st.lists(st.integers(lo, hi), max_size=3))
+
+
+def _section(keys, required=(), odd=_ODD):
+    """An object with each key of ``keys`` drawn or left out (``required``
+    ones always drawn), or an odd value in its place."""
+    return _or_odd(st.fixed_dictionaries(
+        {k: keys[k] for k in required},
+        optional={k: v for k, v in keys.items() if k not in required}), odd)
+
+
+# At most 8 mainline cells, one seed and two estimators.  The duration and
+# the step keep a run at 20 steps or fewer: an odd one is refused or
+# leaves no step.  A huge mainline is left out: its network fills the
+# memory before anything refuses it.
+_CONFIGS = st.fixed_dictionaries({
+    "topology": _section({
+        "mainline": _value(8, 3, 1, odd=(0, -1, 1e300, True, None, "1")),
+        "on_ramps": _ints(1, 8),
+        "off_ramps": _or_odd(st.lists(_section(
+            {"from": _value(4, 1, 8), "split": _value(0.2, 0.0, 1.0, 1.5)},
+            required=("from",)), max_size=2)),
+    }, required=("mainline",), odd=([], 0, "1")),
+    "seeds": _or_odd(st.lists(st.integers(0, 3), min_size=1, max_size=1),
+                     odd=([-1], [], ["0"], 0)),
+    "estimators": _or_odd(st.lists(st.sampled_from(_KINDS), min_size=1,
+                                   max_size=2), odd=([], ["kf"], "ekf")),
+    "duration_s": _value(1, 5, 12.0, 20, 1e-9),
+}, optional={
+    "params": _section({
+        "free_flow_kmh": _value(102.0, 60, 1e-3),
+        "max_density_veh_km": _value(345.0, 0.5, 1e6),
+        "relax_steps": _value(20, 1.0001, 1e9),
+        "gamma": _value(1.75, 0.01, 100, 2000),
+        "step_s": _value(1, 2.0, 1e300),
+        "cell_m": _value(100, 60, 1e4),
+    }),
+    "inputs": _section({
+        "demand_veh_h": _value(0, 3000.0, 8800, 1e9),
+        "w_in_kmh": _value(0, 102.0, 1e9),
+        "rho_out_veh_km": _value(0, 30.0, 1e6),
+        "ramp_demand_veh_h": _value([600.0], [0, 1e9]),
+        "ramp_w_kmh": _value([102.0], [0]),
+        "offramp_rho_out_veh_km": _value([20.0], [20, 0], [1e6]),
+    }),
+    "jam": _section({
+        "segment": _value(1, 4, 8, 13), "start": _value(0, 2),
+        "end": _value(5, 20), "scale": _value(0.3, 0.0, 1.0, 2.0),
+    }, odd=(None, 0, [])),
+    "sensors": _section({
+        "fixed": _ints(0, 9), "mobile": _ints(0, 9),
+        "rotation_period": _value(1, 5, "inf", "x"),
+    }, odd=(None, 0, [])),
+    "noise": _section({"std": _value(0, 1.0, 40, 1e6)}),
+    "scenario_id": _value("fuzz"),
+})
+_CONFIGS = st.tuples(_CONFIGS, st.integers(0, 19)).map(
+    lambda pair: {**pair[0], "typo": 1} if pair[1] == 19 else pair[0])
+
+_OPTIONS = {
+    "estimate": [[]] + [["--estimator", k] for k in _KINDS],
+    "sweep": [["--sweep", name] for name in cli._SWEEPS],
+    "simulate": [[], ["--smooth", "3"]],
+    "gramian": [["--terms", "20"]],
+}
+_COMMANDS = st.sampled_from(tuple(_OPTIONS)).flatmap(
+    lambda cmd: st.sampled_from(_OPTIONS[cmd]).map(lambda opt: [cmd, *opt]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(doc=_CONFIGS, args=_COMMANDS)
+@example(doc=_OVERFLOW, args=["estimate"])
+@example(doc=_OVERFLOW, args=["gramian"])
+@example(doc=_UNDERFLOW, args=["simulate"])
+@example(doc={"duration_s": 60, "inputs": {"w_in_kmh": 0}},
+         args=["estimate", "--estimator", "ekf"])
+@example(doc={"duration_s": 60, "inputs": {"w_in_kmh": 1e9}},
+         args=["estimate", "--estimator", "mhe"])
+# The rotation sweep's singular window solve is its MHE seed 4's.
+@example(doc={**_ROTATION, "seeds": [4]},
+         args=["sweep", "--sweep", "rotation"])
+def test_config_fuzz_exits_with_a_documented_code(doc, args):
+    """Any config document and subcommand ends in exit 0, 2 or 3, nothing
+    raises out of ``cli.main``, and a successful ``estimate`` reports finite
+    errors."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [args[0], "--config", os.path.join(tmp, "cfg.json"), *args[1:]]
+        with open(argv[2], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if args[0] == "sweep":
+            argv += ["--out", os.path.join(tmp, "rows.csv")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if code == 0 and args[0] == "estimate":
+        summary = json.loads(out.getvalue())
+        assert math.isfinite(summary["rmse_rho"])
+        assert math.isfinite(summary["rmse_v"])

@@ -28,6 +28,7 @@ from arzest.model import (
     state_bounds,
     state_scale,
     step,
+    step_batch,
 )
 from arzest.scenarios import (
     EstimatorSpec,
@@ -166,7 +167,9 @@ def test_ekf_empty_selector_takes_the_general_update(topo, params):
 
 
 def test_ekf_one_step_reference(topo, params):
-    """Replicate the scaled-space EKF update equations independently."""
+    """Replicate the scaled-space EKF update equations independently, bit
+    for bit: the filter's state-block stencil and row picks must round as
+    ``linearize_model`` and the selector product do."""
     cfg = EstimatorConfig()
     x0 = _warmed(topo, params)
     u = _inputs(topo)
@@ -195,8 +198,83 @@ def test_ekf_one_step_reference(topo, params):
     P_want = 0.5 * (P_want + P_want.T)
 
     lo, hi = state_bounds(topo, params)
-    np.testing.assert_allclose(got.x, np.clip(x_want, lo, hi), rtol=1e-10)
-    np.testing.assert_allclose(got.P, P_want, rtol=1e-10, atol=1e-12)
+    assert got.x.tobytes() == np.clip(x_want, lo, hi).tobytes()
+    assert got.P.tobytes() == P_want.tobytes()
+
+
+def test_ukf_one_step_reference(topo, params):
+    """Replicate the scaled-space UKF update with the selector product
+    ``measure_h(...) @ C_sel.T``, bit for bit."""
+    cfg = EstimatorConfig()
+    x0 = _warmed(topo, params)
+    u = _inputs(topo)
+    C_sel = build_observation([1, 5, 9, 11], topo)
+    y = C_sel @ measure_h(step(x0, u, topo, params), params)
+
+    st = init_state(x0, cfg, topo, params, "ukf")
+    got = ukf_step(st, u, y, C_sel, cfg, topo, params)
+
+    d = state_scale(topo, params)
+    lo, hi = state_bounds(topo, params)
+    n = x0.size
+    lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
+    wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
+    wc = wm.copy()
+    wm[0] = lam / (n + lam)
+    wc[0] = lam / (n + lam) + (1.0 - cfg.alpha ** 2 + cfg.beta)
+    L = np.linalg.cholesky((n + lam) * (cfg.p0 * np.eye(n)))
+    sig = np.vstack([x0 / d, x0 / d + L.T, x0 / d - L.T])
+    prop = step_batch(np.clip(sig * d, lo, hi), u, topo, params) / d
+    x_pred = wm @ prop
+    dev = prop - x_pred
+    P_pred = (dev.T * wc) @ dev + cfg.q * np.eye(n)
+    P_pred = 0.5 * (P_pred + P_pred.T)
+    Y = measure_h(prop * d, params) @ C_sel.T
+    dy = Y - wm @ Y
+    S = (dy.T * wc) @ dy + cfg.r * np.eye(C_sel.shape[0])
+    K = np.linalg.solve(S, ((dev.T * wc) @ dy).T).T
+    x_want = np.clip((x_pred + K @ (y - wm @ Y)) * d, lo, hi)
+    P_want = P_pred - K @ S @ K.T
+    P_want = 0.5 * (P_want + P_want.T)
+
+    assert got.x.tobytes() == x_want.tobytes()
+    assert got.P.tobytes() == P_want.tobytes()
+    assert got.jitter_events == 0
+
+
+def test_enkf_one_step_reference(topo, params):
+    """Replicate the EnKF update with the selector product
+    ``measure_h(ens) @ C_sel.T`` and a twin generator, bit for bit."""
+    cfg = EstimatorConfig()
+    x0 = _warmed(topo, params)
+    u = _inputs(topo)
+    C_sel = build_observation([1, 5, 9, 11], topo)
+    y = C_sel @ measure_h(step(x0, u, topo, params), params)
+
+    st = init_state(x0, cfg, topo, params, "enkf", np.random.default_rng(3))
+    got = enkf_step(st, u, y, C_sel, cfg, topo, params,
+                    np.random.default_rng(4))
+
+    twin = np.random.default_rng(4)
+    d = state_scale(topo, params)
+    lo, hi = state_bounds(topo, params)
+    M, n = st.ensemble.shape
+    ens = step_batch(st.ensemble, u, topo, params)
+    noise = twin.standard_normal((M, n)) * math.sqrt(cfg.q) * d
+    ens = np.clip(ens + noise, lo, hi)
+    Y = measure_h(ens, params) @ C_sel.T
+    Xdev = ens / d - (ens / d).sum(axis=0) / M
+    Ydev = Y - Y.sum(axis=0) / M
+    P_xy = Xdev.T @ Ydev / (M - 1)
+    P_yy = Ydev.T @ Ydev / (M - 1) + cfg.r * np.eye(C_sel.shape[0])
+    K = np.linalg.solve(P_yy, P_xy.T).T
+    half = math.sqrt(3.0 * cfg.r)
+    pert = twin.uniform(-half, half, Y.shape)
+    ens_want = np.clip((ens / d + (y + pert - Y) @ K.T) * d, lo, hi)
+
+    assert got.ensemble.tobytes() == ens_want.tobytes()
+    x_want = np.clip(ens_want.sum(axis=0) / M, lo, hi)
+    assert got.x.tobytes() == x_want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["ekf", "ukf", "enkf"])

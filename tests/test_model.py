@@ -181,6 +181,9 @@ def test_params_validation():
         ModelParams(v_f=102, rho_m=345, tau=20, gamma=1.75, T=1 / 360, l=0.1)
     with pytest.raises(ModelError, match=r"rho_m \*\* gamma overflows"):
         ModelParams(v_f=102, rho_m=1e6, tau=20, gamma=100, T=1 / 3600, l=0.1)
+    with pytest.raises(ModelError, match=r"rho_m \*\* gamma underflows .*"
+                       r"rho_m = 0\.5, gamma = 2000"):
+        ModelParams(v_f=102, rho_m=0.5, tau=20, gamma=2000, T=1 / 3600, l=0.1)
 
 
 def test_topology_validation():
