@@ -78,6 +78,10 @@ EXIT_RUNTIME = 3
 
 GRAMIAN_EIG_THRESHOLD = 1e-9
 
+# The filters keep a dense n_x x n_x float64 state covariance, two states
+# per cell: at this many mainline cells it already takes 0.8 GB.
+MAX_MAINLINE = 5000
+
 _SWEEPS = {"sensors": sweep_sensor_count, "rotation": sweep_rotation,
            "spacing": sweep_spacing, "noise": sweep_noise}
 
@@ -178,6 +182,9 @@ def _build_topology(doc: dict, ref: Topology) -> Topology:
     n_main = sec.get("mainline", ref.n_mainline)
     if not _is_int(n_main) or n_main < 1:
         raise ConfigError("topology.mainline must be a positive integer")
+    if n_main > MAX_MAINLINE:
+        raise ConfigError(f"topology.mainline must be at most {MAX_MAINLINE} "
+                          "cells, where a dense state covariance takes 0.8 GB")
     on = _list(sec.get("on_ramps", []), "topology.on_ramps", ints=True)
     off_spec = sec.get("off_ramps", [])
     if not isinstance(off_spec, list):

@@ -1,7 +1,7 @@
 """Moving-horizon estimation as a box-constrained quadratic program.
 
 Each step relinearizes the model about the mean of the previous window's
-solution, freezes those matrices in a horizon buffer, and solves
+solution and solves
 
     min  mu ||x[t-N] - x_bar||^2
        + w1 sum ||y[i] - (C_i x[i] + c2_i)||^2
@@ -11,6 +11,12 @@ over the stacked window states, subject to the physical box.  The window
 shrinks at startup: until step N the window start stays pinned at time 0
 and the arrival state is the initial guess.  All blocks are assembled in
 the scaled space (relative-flow rows divided by v_f).
+
+The window reads each time's linearization through two residual maps
+only: the measurement map ``(C_i, y[i] - c2_i)`` and the model map
+``(A_i, B_i u[i] + c1_i)``.  Each step freezes its pair of maps in a
+horizon buffer entry, ``(C_s, resid)`` and ``(A_s, r)``, and keeps no
+other part of the linearization.
 
 Once the window start s is past 0, the arrival prior is
 ``x_bar = step(x_hat[s-1], u[s])`` (Rao, Rawlings & Mayne 2003).  Both of
@@ -100,33 +106,34 @@ class MheConfig:
 
 @dataclass(frozen=True)
 class HorizonEntry:
-    """Frozen per-step data: the measurement at ``time`` and the affine
-    model of the transition into ``time`` (all in scaled space, except
-    ``u``), and ``arrival``, the prior for the state at ``time`` once the
-    entry starts the window: ``step(x_hat[time-1], u)`` in natural units
-    (None unless given).
+    """Frozen per-step data, in scaled space: the two affine residual maps
+    of the window objective at ``time``, and ``arrival``, the prior for
+    the state at ``time`` once the entry starts the window:
+    ``step(x_hat[time-1], u)`` in natural units (None unless given).
+
+    The measurement residual is ``resid - C_s x[time]``, where ``resid =
+    y - c2`` is the measurement less the measurement model's offset.  The
+    model residual is ``x[time] - A_s x[time-1] - r``, where ``r = B_s u +
+    c1_s`` is the transition's input and offset term.  Only these four
+    arrays enter the window, so the entry keeps no other part of its
+    linearization.
 
     The window terms of the entry are computed once, on creation: the
-    measurement products ``CtC = C_s' C_s``, ``Cty = C_s' (y - c2)`` and
-    ``yy = |y - c2|^2``, and the transition products ``r = B_s u + c1_s``,
-    ``AtA = A_s' A_s``, ``Atr = A_s' r`` and ``rr = |r|^2``.  The entry is
-    frozen and its arrays are read-only, so the cached terms cannot go
-    stale.
+    measurement products ``CtC = C_s' C_s``, ``Cty = C_s' resid`` and
+    ``yy = |resid|^2``, and the transition products ``AtA = A_s' A_s``,
+    ``Atr = A_s' r`` and ``rr = |r|^2``.  The entry is frozen and its
+    arrays are read-only, so the cached terms cannot go stale.
     """
 
     time: int
-    y: np.ndarray
     C_s: np.ndarray
-    c2: np.ndarray
+    resid: np.ndarray
     A_s: np.ndarray
-    B_s: np.ndarray
-    c1_s: np.ndarray
-    u: np.ndarray
+    r: np.ndarray
     arrival: np.ndarray | None = None
     CtC: np.ndarray = field(init=False, repr=False)
     Cty: np.ndarray = field(init=False, repr=False)
     yy: float = field(init=False, repr=False)
-    r: np.ndarray = field(init=False, repr=False)
     AtA: np.ndarray = field(init=False, repr=False)
     Atr: np.ndarray = field(init=False, repr=False)
     rr: float = field(init=False, repr=False)
@@ -138,15 +145,12 @@ class HorizonEntry:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-        for name in ("y", "C_s", "c2", "A_s", "B_s", "c1_s", "u", "arrival"):
+        for name in ("C_s", "resid", "A_s", "r", "arrival"):
             put(name, getattr(self, name))
-        C, A = self.C_s, self.A_s
-        resid = self.y - self.c2
-        r = self.B_s @ self.u + self.c1_s
+        C, resid, A, r = self.C_s, self.resid, self.A_s, self.r
         put("CtC", C.T @ C)
         put("Cty", C.T @ resid)
         put("yy", float(resid @ resid))
-        put("r", r)
         put("AtA", A.T @ A)
         put("Atr", A.T @ r)
         put("rr", float(r @ r))
@@ -393,7 +397,8 @@ def _held_decoupled_band(D, E, held):
     return D_h, E_h
 
 
-def solve_box_qp(qp: QPProblem, tol_kkt: float = 1e-8, max_iter: int = 50,
+def solve_box_qp(qp: QPProblem, tol_kkt: float = MheConfig.tol_kkt,
+                 max_iter: int = MheConfig.max_iter,
                  z0=None) -> tuple[np.ndarray, SolveInfo]:
     """Projected Newton method on a box-constrained QP (Bertsekas 1982).
 
@@ -515,19 +520,15 @@ class MheSession:
 
     def _make_entry(self, time: int, u, y, C_sel) -> HorizonEntry:
         x_o = operating_point(self._window)
-        u = np.asarray(u, dtype=float).copy()
-        lin, lm, arrival = self.linearize(x_o, u, self._window[-1],
-                                          np.asarray(C_sel, dtype=float))
+        lin, lm, arrival = self.linearize(x_o, u, self._window[-1], C_sel)
         d = self._d
-        A_s = lin.A_tilde * self._ratio
-        B_s = lin.B / d[:, None]
-        c1_s = lin.c1 / d
-        C_s = lm.C_tilde * d[None, :]
         return HorizonEntry(
             time=time,
-            y=np.asarray(y, dtype=float).copy(),
-            C_s=C_s, c2=lm.c2,
-            A_s=A_s, B_s=B_s, c1_s=c1_s, u=u, arrival=arrival,
+            C_s=lm.C_tilde * d[None, :],
+            resid=y - lm.c2,
+            A_s=lin.A_tilde * self._ratio,
+            r=(lin.B / d[:, None]) @ u + lin.c1 / d,
+            arrival=arrival,
         )
 
     def step(self, u, y, C_sel) -> np.ndarray:

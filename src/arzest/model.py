@@ -514,8 +514,11 @@ class _JacobianPlan:
 
     A dense stencil shows each boundary's unperturbed tie margin in the
     rows of the columns that do not read it.  ``base[blocks]`` lists the
-    boundaries for which no group of the requested blocks does that; their
-    margin needs the unperturbed state as a row of its own.
+    boundaries that some column of the requested blocks does not read; the
+    tie flag takes their margins from the unperturbed state's row.  Where
+    a group of those columns also leaves a boundary unread, its rows carry
+    the same margin bit for bit, so the flag is the dense stencil's either
+    way.
     """
 
     groups: dict  # "x" or "u" -> _ColumnGroups
@@ -566,14 +569,10 @@ def _compile_jacobian(topo: Topology) -> _JacobianPlan:
     pattern = slot_rows[t.slots].any(axis=0).T @ reads  # (rows, columns)
     blocks = {"x": slice(0, n_x), "u": slice(n_x, None)}
     groups = {b: _color(pattern[:, sl]) for b, sl in blocks.items()}
-    base = {}
-    for key in ("x", "u", "xu"):
-        # Boundaries every group reads though some column does not.
-        hidden = np.logical_and.reduce(
-            [(groups[b].groups @ reads[:, blocks[b]].T).all(axis=0) for b in key])
-        shown = np.logical_or.reduce(
-            [~reads[:, blocks[b]].all(axis=1) for b in key])
-        base[key] = np.flatnonzero(hidden & shown)
+    # Boundaries that some column of the block does not read.
+    unread = {b: ~reads[:, sl].all(axis=1) for b, sl in blocks.items()}
+    unread["xu"] = unread["x"] | unread["u"]
+    base = {key: np.flatnonzero(v) for key, v in unread.items()}
     return _JacobianPlan(groups, base)
 
 

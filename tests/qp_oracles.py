@@ -1,9 +1,9 @@
 """Shared reference implementations for the QP tests.
 
 Everything here is written independently of the library internals so it can
-serve as an oracle: a dense assembly of the window QP from the raw entry
-fields, a direct term-by-term evaluation of the windowed objective, and a
-brute-force active-set enumeration for small box QPs.
+serve as an oracle: a dense assembly of the window QP from the entries'
+residual maps, a direct term-by-term evaluation of the windowed objective,
+and a brute-force active-set enumeration for small box QPs.
 """
 import itertools
 
@@ -13,27 +13,28 @@ from arzest.mhe import HorizonBuffer, HorizonEntry, QPProblem
 
 
 def random_buffer(rng, horizon, n_steps, n_x=6, n_u=3, n_y=4, blind=()):
-    """A buffer of synthetic affine entries with O(1) coefficients.  The
-    entries at the times in ``blind`` have no measurement (zero rows)."""
+    """A buffer of synthetic affine entries with O(1) coefficients, each
+    formed from a measurement ``y``, offsets ``c2`` and ``c1_s``, an input
+    map ``B_s`` and an input ``u``.  The entries at the times in ``blind``
+    have no measurement (zero rows)."""
     buf = HorizonBuffer(horizon)
     for t in range(1, n_steps + 1):
         m = 0 if t in blind else n_y
-        buf.push(HorizonEntry(
-            time=t,
-            y=rng.standard_normal(m),
-            C_s=rng.standard_normal((m, n_x)),
-            c2=rng.standard_normal(m),
-            A_s=rng.standard_normal((n_x, n_x)) * 0.3,
-            B_s=rng.standard_normal((n_x, n_u)),
-            c1_s=rng.standard_normal(n_x),
-            u=rng.standard_normal(n_u),
-        ))
+        y = rng.standard_normal(m)
+        C_s = rng.standard_normal((m, n_x))
+        c2 = rng.standard_normal(m)
+        A_s = rng.standard_normal((n_x, n_x)) * 0.3
+        B_s = rng.standard_normal((n_x, n_u))
+        c1_s = rng.standard_normal(n_x)
+        u = rng.standard_normal(n_u)
+        buf.push(HorizonEntry(time=t, C_s=C_s, resid=y - c2, A_s=A_s,
+                              r=B_s @ u + c1_s))
     return buf
 
 
 def dense_assemble_qp(buf, x_bar_s, cfg, lo_s, hi_s):
     """The window QP's dense (H, q, const), each window term recomputed from
-    the raw entry fields and added in the library's order."""
+    the entries' residual maps and added in the library's order."""
     t = buf.latest_time
     start = buf.window_start()
     n_x = buf.entries[-1].A_s.shape[0]
@@ -55,12 +56,11 @@ def dense_assemble_qp(buf, x_bar_s, cfg, lo_s, hi_s):
         if b < 0:
             continue
         if e.C_s.shape[0] > 0 and cfg.w1 > 0:
-            resid = e.y - e.c2
             H[sl(b), sl(b)] += cfg.w1 * (e.C_s.T @ e.C_s)
-            q[sl(b)] += -2.0 * cfg.w1 * (e.C_s.T @ resid)
-            const += cfg.w1 * float(resid @ resid)
+            q[sl(b)] += -2.0 * cfg.w1 * (e.C_s.T @ e.resid)
+            const += cfg.w1 * float(e.resid @ e.resid)
         if e.time > start and cfg.w2 > 0:
-            r = e.B_s @ e.u + e.c1_s
+            r = e.r
             A = e.A_s
             H[sl(b), sl(b)] += cfg.w2 * np.eye(n_x)
             H[sl(b - 1), sl(b - 1)] += cfg.w2 * (A.T @ A)
@@ -82,10 +82,10 @@ def direct_objective(buf, x_bar_s, cfg, blocks):
         if b < 0:
             continue
         if e.C_s.shape[0] > 0 and cfg.w1 > 0:
-            r = e.y - (e.C_s @ blocks[b] + e.c2)
+            r = e.resid - e.C_s @ blocks[b]
             total += cfg.w1 * float(r @ r)
         if e.time > start and cfg.w2 > 0:
-            r = blocks[b] - (e.A_s @ blocks[b - 1] + e.B_s @ e.u + e.c1_s)
+            r = blocks[b] - (e.A_s @ blocks[b - 1] + e.r)
             total += cfg.w2 * float(r @ r)
     return total
 

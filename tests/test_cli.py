@@ -338,6 +338,10 @@ def test_topology_section_builds_the_network(tmp_path, capsys):
     ({"mainline": 12, "off_ramps": [9]},
      "topology.off_ramps entries must be objects"),
     (_ramp_topology(to=3), "unknown key(s) in topology.off_ramps[0]: to"),
+    ({"mainline": 10 ** 400},
+     f"topology.mainline must be at most {cli.MAX_MAINLINE} cells"),
+    ({"mainline": cli.MAX_MAINLINE + 1},
+     f"topology.mainline must be at most {cli.MAX_MAINLINE} cells"),
 ])
 def test_bad_topology_section_rejected(tmp_path, capsys, topology, cause):
     cfg = _write_config(tmp_path, {"topology": topology})
@@ -495,8 +499,8 @@ def _section(keys, required=(), odd=_ODD):
 
 # At most 8 mainline cells, one seed and two estimators.  The duration and
 # the step keep a run at 20 steps or fewer: an odd one is refused or
-# leaves no step.  A huge mainline is left out: its network fills the
-# memory before anything refuses it.
+# leaves no step.  A mainline above ``cli.MAX_MAINLINE`` is refused before
+# its network is built; a 400-digit one is a fixed example below.
 _CONFIGS = st.fixed_dictionaries({
     "topology": _section({
         "mainline": _value(8, 3, 1, odd=(0, -1, 1e300, True, None, "1")),
@@ -563,6 +567,7 @@ _COMMANDS = st.sampled_from(tuple(_OPTIONS)).flatmap(
 # The rotation sweep's singular window solve is its MHE seed 4's.
 @example(doc={**_ROTATION, "seeds": [4]},
          args=["sweep", "--sweep", "rotation"])
+@example(doc={"topology": {"mainline": 10 ** 400}}, args=["estimate"])
 def test_config_fuzz_exits_with_a_documented_code(doc, args):
     """Any config document and subcommand ends in exit 0, 2 or 3, nothing
     raises out of ``cli.main``, and a successful ``estimate`` reports finite

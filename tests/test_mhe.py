@@ -36,6 +36,7 @@ from arzest.model import (
     measure_h,
     pack_inputs,
     state_bounds,
+    state_scale,
     step,
 )
 from arzest.scenarios import (
@@ -217,9 +218,8 @@ def test_block_solve_raises_on_a_singular_pivot():
 def test_buffer_rejects_time_gap():
     buf = random_buffer(np.random.default_rng(0), 3, 2)
     entry = buf.entries[-1]
-    bad = HorizonEntry(time=entry.time + 2, y=entry.y, C_s=entry.C_s,
-                       c2=entry.c2, A_s=entry.A_s, B_s=entry.B_s,
-                       c1_s=entry.c1_s, u=entry.u)
+    bad = HorizonEntry(time=entry.time + 2, C_s=entry.C_s, resid=entry.resid,
+                       A_s=entry.A_s, r=entry.r)
     with pytest.raises(ValueError):
         buf.push(bad)
 
@@ -489,6 +489,43 @@ def test_session_startup_window_grows(topo, params):
         assert sess.buffer.latest_time == k
         assert sess.buffer.window_start() == max(0, k - 4)
         assert len(sess.buffer.entries) == min(k, 5)
+
+
+def test_session_entry_holds_the_residual_maps_of_its_linearization(
+        topo, params):
+    """After one step the new entry holds, byte for byte, what independent
+    linearizations at x0 give in the scaled space: the measurement map
+    ``(C_tilde D, y - c2)``, the model map ``(D^-1 A_tilde D, (D^-1 B) u +
+    D^-1 c1)`` and the arrival ``step(x0, u)``; its cached products are
+    formed from them.  At step 1 the operating point is x0 itself."""
+    x0 = _warmed_state(topo, params)
+    u = _inputs(topo)
+    C = build_observation([2, 5, 9, 11, 12], topo)
+    rng = np.random.default_rng(5)
+    y = (C @ measure_h(step(x0, u, topo, params), params)
+         + rng.uniform(-40, 40, C.shape[0]))
+    sess = MheSession(x0, MheConfig(), topo, params)
+    sess.step(u, y, C)
+    entry = sess.buffer.entries[-1]
+    lin = linearize_model(x0, u, topo, params)
+    lm = linearize_measurement(x0, C, params)
+    d = state_scale(topo, params)
+    C_s = lm.C_tilde * d
+    resid = y - lm.c2
+    A_s = lin.A_tilde * (d[None, :] / d[:, None])
+    r = (lin.B / d[:, None]) @ u + lin.c1 / d
+    expected = {
+        "C_s": C_s, "resid": resid, "A_s": A_s, "r": r,
+        "arrival": step(x0, u, topo, params),
+        "CtC": C_s.T @ C_s, "Cty": C_s.T @ resid,
+        "yy": np.float64(resid @ resid),
+        "AtA": A_s.T @ A_s, "Atr": A_s.T @ r, "rr": np.float64(r @ r),
+    }
+    assert entry.time == 1
+    for name, want in expected.items():
+        got = np.asarray(getattr(entry, name))
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def step_n(x, u, topo, params, n):

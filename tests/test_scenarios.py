@@ -8,11 +8,17 @@ import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_properties import cases
 
 import arzest.scenarios as scenarios
+from arzest import mhe
 from arzest.kalman import EstimatorError
 from arzest.model import (
     ModelParams,
@@ -618,3 +624,49 @@ def test_run_without_any_sensor_stays_finite_and_in_the_box(kind):
     assert np.isfinite(res.est).all()
     assert res.within_bounds
     assert res.flags == ""  # no jitter events, no qp_fail, no bounds flag
+
+
+@st.composite
+def random_twins(draw, t_f=20):
+    """A twin over ``t_f`` steps on the network, parameters and (constant)
+    input of a ``test_properties.cases`` draw, at noise 0, 1 or 40, with a
+    last-cell sensor or none.  A warmup of only ``t_f`` steps leaves the
+    truth in its transient, where some MHE window solves stay unconverged
+    and are flagged."""
+    topo, params, _, U, _ = draw(cases(rows=1))
+    fixed = (topo.n_mainline,) if draw(st.booleans()) else ()
+    return Scenario("random", params, topo, t_f, np.tile(U[0], (t_f, 1)),
+                    SensorSchedule(fixed_segments=fixed),
+                    draw(st.sampled_from((0.0, 1.0, 40.0))), seeds=(0,),
+                    warmup_steps=t_f)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(random_twins())
+def test_estimators_on_random_networks(sc):
+    """All four estimators on random twins: every estimate is finite and in
+    the box, nothing raises but a named ``EstimatorError`` (among them the
+    UKF's refusal of n_x + kappa <= 0), and the MHE's ``qp_fail`` flag
+    counts exactly its unconverged window solves."""
+    truth = generate_truth(sc)
+    unconverged = 0
+
+    def recording(qp, tol_kkt, max_iter):
+        nonlocal unconverged
+        z, info = solve(qp, tol_kkt, max_iter)
+        unconverged += not info.converged
+        return z, info
+
+    solve = mhe.solve_box_qp
+    for kind in ("ekf", "ukf", "enkf", "mhe"):
+        try:
+            with mock.patch.object(mhe, "solve_box_qp", recording):
+                res = run_estimation(sc, truth, EstimatorSpec(kind), seed=0)
+        except EstimatorError:
+            continue
+        assert np.isfinite(res.est).all(), kind
+        assert res.within_bounds, kind
+        if kind == "mhe":
+            flags = dict(f.split("=") for f in res.flags.split(";")
+                         if "=" in f)
+            assert int(flags.get("qp_fail", 0)) == unconverged
