@@ -21,7 +21,9 @@ seconds and metres (``step_s``, ``cell_m``, ``duration_s``); internally
 everything runs in hours and kilometres.  Unknown keys anywhere in the
 document and non-finite numbers are rejected so typos fail loudly.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
+Exit codes: 0 success, 2 usage or configuration error (an unwritable
+``--out`` among them, found before the run), 3 runtime failure (a failed
+write of the output among them, such as to a pipe its reader closed).
 """
 from __future__ import annotations
 
@@ -31,7 +33,9 @@ import csv
 import json
 import math
 import multiprocessing
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -399,8 +403,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_gramian(args) -> int:
     sc, _ = build_scenario(_load_config(args.config))
-    truth = generate_truth(sc)
-    x0 = truth.traj[0]
+    # Only the warmed first state is read: simulate one step, not the run.
+    x0 = generate_truth(replace(sc, t_f=1, inputs=sc.inputs[:1],
+                                jam=None)).traj[0]
     lin = linearize_model(x0, sc.inputs[0], sc.topo, sc.params)
     positions = positions_at(sc.schedule, sc.topo, 0)
     lm = linearize_measurement(x0, build_observation(positions, sc.topo),
@@ -489,8 +494,23 @@ def main(argv=None) -> int:
         print("error: --jobs above 1 needs the fork start method, which "
               "this platform lacks", file=sys.stderr)
         return EXIT_CONFIG
+    out = getattr(args, "out", None)
+    if out is not None:
+        # An unwritable --out fails now, not after the run; the probe
+        # neither truncates a file nor leaves one behind.
+        existed = os.path.exists(out)
+        try:
+            open(out, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write --out {out} ({exc.strerror})",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        if not existed:
+            os.remove(out)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -502,6 +522,13 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except (ModelError, EstimatorError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OSError as exc:  # a failed write, such as to a closed pipe
+        print(f"runtime error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # Point stdout at devnull, so that the flush at exit does not
+            # fail once more on what is still buffered for the closed pipe.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_RUNTIME
 
 

@@ -268,7 +268,7 @@ def predict_arrival(x_prev, u_prev, topo: Topology, params: ModelParams) -> np.n
 
     ``MheSession.linearize`` reads the same state from one more row of its
     linearization's flux call, so the session does not call this; a
-    ``linearizer`` given to the session may.
+    ``linearize`` assigned on a session instance may.
     """
     return step(x_prev, u_prev, topo, params)
 
@@ -281,7 +281,9 @@ def assemble_qp(buf: HorizonBuffer, x_bar_s, cfg: MheConfig,
     entry contributes only its measurement; every newer entry contributes
     its measurement and the transition linking it to the previous block.
     Only the band of H is filled, by scaling and adding the terms each
-    entry cached; no dense H is formed.
+    entry cached; no dense H is formed.  No term is skipped: an entry with
+    no measurement row caches exact zeros, and a zero weight scales its
+    terms to exact zeros, so either adds only zeros to the band, q and const.
     """
     if not buf.entries:
         raise ValueError("cannot assemble an empty buffer")
@@ -303,11 +305,10 @@ def assemble_qp(buf: HorizonBuffer, x_bar_s, cfg: MheConfig,
 
     for e in buf.entries:
         b = e.time - start
-        if e.C_s.shape[0] > 0 and cfg.w1 > 0:
-            D[b] += cfg.w1 * e.CtC
-            Q[b] += -2.0 * cfg.w1 * e.Cty
-            const += cfg.w1 * e.yy
-        if e.time > start and cfg.w2 > 0:
+        D[b] += cfg.w1 * e.CtC
+        Q[b] += -2.0 * cfg.w1 * e.Cty
+        const += cfg.w1 * e.yy
+        if e.time > start:
             diag[b] += cfg.w2
             D[b - 1] += cfg.w2 * e.AtA
             E[b - 1] -= cfg.w2 * e.A_s
@@ -482,15 +483,15 @@ class MheSession:
     x_hat[t-1].  Each step makes the entry for its time t with one call,
     ``linearize(x_o, u, x_hat[t-1], C_sel)``, which returns the entry's
     ``LinearizedModel``, its ``LinearizedMeasurement`` and the arrival
-    prior that the entry carries once it starts the window.  A
-    ``linearizer`` of that signature replaces the method: given frozen
-    affine models and their step, the session is an exact estimator for
-    an affine system.  A window solve that meets a singular pivot block in
+    prior that the entry carries once it starts the window.  This method
+    is the session's one seam: a function of the same signature assigned
+    to ``linearize`` on an instance replaces it, and given frozen affine
+    models and their step, the session is an exact estimator for an
+    affine system.  A window solve that meets a singular pivot block in
     float64 raises ``EstimatorError``.
     """
 
-    def __init__(self, x0, cfg: MheConfig, topo: Topology, params: ModelParams,
-                 linearizer=None):
+    def __init__(self, x0, cfg: MheConfig, topo: Topology, params: ModelParams):
         for name in ("mu", "w2"):
             if not getattr(cfg, name) > 0:
                 raise ValueError(f"MheSession needs a positive {name}, got "
@@ -508,8 +509,6 @@ class MheSession:
         self._window = self.x0[None, :]
         self.failed_solves = 0
         self.last_info: SolveInfo | None = None
-        if linearizer is not None:
-            self.linearize = linearizer
 
     def linearize(self, x_o, u, x_prev, C_sel):
         """The model and the measurement linearized at ``(x_o, u)``, and the

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time as _time
 from dataclasses import dataclass, field, replace
 
@@ -137,9 +138,23 @@ class Scenario:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if not self.seeds or min(self.seeds) < 0:
+        if (not self.seeds or min(self.seeds) < 0
+                or not all(isinstance(s, numbers.Integral) for s in self.seeds)):
             raise ValueError("seeds must be a non-empty list of integers "
                              f">= 0, got {list(self.seeds)}")
+        if not (isinstance(self.warmup_steps, numbers.Integral)
+                and self.warmup_steps >= 0):
+            raise ValueError("warmup_steps must be an integer >= 0, got "
+                             f"{self.warmup_steps!r}")
+        if self.x_init is not None:
+            x = np.asarray(self.x_init, dtype=float)
+            if x.shape != (self.topo.n_x,):
+                raise ValueError(f"x_init must have shape ({self.topo.n_x},), "
+                                 f"got {x.shape}")
+            lo, hi = state_bounds(self.topo, self.params)
+            if not np.all((lo <= x) & (x <= hi)):  # NaN fails too
+                raise ValueError("x_init must be finite and inside "
+                                 "state_bounds")
         if self.jam is not None:
             if not 1 <= self.jam.segment <= self.topo.n_segments:
                 raise ValueError("jam segment out of range")

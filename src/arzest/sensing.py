@@ -2,14 +2,14 @@
 
 Fixed sensors sit on a constant set of segments; mobile sensors hop to the
 next non-instrumented mainline segment every ``rotation_period`` steps,
-wrapping around and skipping fixed positions.  Each measured segment
-contributes a (density, speed) row pair to the observation selector, and
+wrapping around and skipping fixed positions.  The observation selector
+holds one (density, speed) row pair per listed segment, in the listed
+order, a repeated segment included, and
 ``synthesize_measurements``, the one place a measurement is formed, adds
 noise from the caller's generator to the rows it selects.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,8 +27,6 @@ __all__ = [
     "GramianResult",
     "observability_gramian",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -95,21 +93,17 @@ def positions_at(sched: SensorSchedule, topo: Topology, k: int) -> list[int]:
 
 
 def build_observation(measured, topo: Topology) -> np.ndarray:
-    """Row selector picking the (density, speed) pair of each measured segment.
+    """Row selector with one (density, speed) row pair per listed segment.
 
-    Duplicates are dropped (first occurrence wins) with a logged warning.
+    The pairs follow the listed order, and a segment listed twice is read
+    twice.  ``SensorSchedule`` refuses repeated sensors and
+    ``positions_at`` never repeats a segment, so a schedule's selector
+    reads each measured segment once.
     """
-    seen = []
-    for s in measured:
-        s = int(s)
+    C = np.zeros((2 * len(measured), topo.n_x))
+    for r, s in enumerate(map(int, measured)):
         if not 1 <= s <= topo.n_segments:
             raise ValueError(f"segment id {s} out of range 1..{topo.n_segments}")
-        if s in seen:
-            log.warning("duplicate measured segment %d dropped", s)
-            continue
-        seen.append(s)
-    C = np.zeros((2 * len(seen), topo.n_x))
-    for r, s in enumerate(seen):
         C[2 * r, 2 * (s - 1)] = 1.0
         C[2 * r + 1, 2 * (s - 1) + 1] = 1.0
     return C

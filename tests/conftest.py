@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from arzest.model import ModelParams, OffRamp, OnRamp, Topology
+from arzest.model import (
+    ModelParams,
+    OffRamp,
+    OnRamp,
+    Topology,
+    equilibrium_state,
+    pack_inputs,
+    step,
+)
 
 
 @pytest.fixture
@@ -30,3 +38,22 @@ def random_states(rng: np.random.Generator, topo: Topology, n: int,
     X[:, 0::2] = rho
     X[:, 1::2] = rho * w
     return X
+
+
+def paper_inputs(topo: Topology) -> np.ndarray:
+    """The reference feed as one input vector: 8800 veh/h in at 102 km/h,
+    30 veh/km downstream, 600 veh/h on the on-ramp, 20 veh/km past each
+    off-ramp."""
+    return pack_inputs(topo, 8800.0, 102.0, 30.0, (600.0,), (102.0,),
+                       (20.0, 20.0))
+
+
+def warmed_state(topo: Topology, params: ModelParams,
+                 steps: int = 300) -> np.ndarray:
+    """The state ``steps`` constant ``paper_inputs`` steps after the
+    20 veh/km equilibrium."""
+    x = equilibrium_state(topo, params, 20.0)
+    u = paper_inputs(topo)
+    for _ in range(steps):
+        x = step(x, u, topo, params)
+    return x

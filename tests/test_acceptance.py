@@ -297,10 +297,8 @@ def test_c05_exact_model_recovery(paper_case):
     def affine_step(x):
         return lin.A_tilde @ x + lin.B @ u + lin.c1
 
-    sess = MheSession(
-        x_eq.copy(), cfg, topo, params,
-        linearizer=lambda x, u_, x_prev, C: (lin, lm, affine_step(x_prev)),
-    )
+    sess = MheSession(x_eq.copy(), cfg, topo, params)
+    sess.linearize = lambda x, u_, x_prev, C: (lin, lm, affine_step(x_prev))
     x = x_eq.copy()
     errs = []
     for _ in range(30):

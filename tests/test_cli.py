@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,13 @@ def _small_cfg(tmp_path, **extra):
     doc = {"duration_s": 20, "estimators": ["ekf"], "seeds": [0]}
     doc.update(extra)
     return _write_config(tmp_path, doc)
+
+
+def _cli_env():
+    """The environment for running ``python -m arzest.cli`` on this tree."""
+    src = os.path.dirname(os.path.dirname(arzest.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def _read_csv(path):
@@ -146,7 +154,7 @@ def test_sweep_noise_csv(tmp_path):
     assert all(r[1] == "noise" and r[2] == "ekf" for r in rows[1:])
 
 
-def test_gramian_default_layout_observable(capsys):
+def test_gramian_default_layout_observable(tmp_path, capsys):
     rc = cli.main(["gramian"])
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
@@ -155,6 +163,14 @@ def test_gramian_default_layout_observable(capsys):
     assert rep["min_eigenvalue"] > rep["threshold"]
     assert rep["sum_converged"] is True
     assert 0 < rep["spectral_radius"] < 1 + 1e-9
+    # The report reads only the warmed first state, so a 200000-step
+    # duration gives the same report without simulating those steps
+    # (about 17 s on a 2-vCPU Xeon when the whole run was simulated).
+    cfg = _write_config(tmp_path, {"duration_s": 200000})
+    start = time.perf_counter()
+    assert cli.main(["gramian", "--config", cfg]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert json.loads(capsys.readouterr().out) == rep
 
 
 def test_gramian_single_term_not_observable(capsys):
@@ -253,6 +269,45 @@ def test_runtime_blowup_exit_code(tmp_path, capsys, monkeypatch):
     rc = cli.main(["simulate", "--config", _small_cfg(tmp_path)])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["estimate"],
+                                     ["sweep", "--sweep", "noise"]],
+                         ids=["simulate", "estimate", "sweep"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_out_exits_before_the_run(tmp_path, capsys, monkeypatch,
+                                             command, where):
+    """An --out that cannot be opened for writing is a usage error found
+    before anything is simulated, and the message names the path."""
+    def no_run(sc):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(cli, "generate_truth", no_run)
+    monkeypatch.setattr(scenarios, "generate_truth", no_run)
+    out = str(tmp_path / "no" / "x.csv" if where == "missing-dir" else tmp_path)
+    rc = cli.main([*command, "--config", _small_cfg(tmp_path), "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot write --out {out}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, read", [(["simulate"], 1),
+                                           (["gramian"], 0)],
+                         ids=["simulate-head-1", "gramian"])
+def test_closed_output_pipe_exits_3_without_a_traceback(command, read):
+    """As ``arzest simulate | head -1`` does: the reader closes stdout after
+    ``read`` lines.  The write that fails, in the run or in the flush of a
+    short report, ends the process with exit 3 and one stderr line, and no
+    second failure at exit."""
+    proc = subprocess.Popen([sys.executable, "-m", "arzest.cli", *command],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_cli_env())
+    for _ in range(read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 3, err
+    assert err.splitlines() == ["runtime error: [Errno 32] Broken pipe"]
 
 
 def test_smooth_and_jobs_validation(tmp_path, capsys):
@@ -458,13 +513,10 @@ def test_numerical_failures_exit_with_their_cause(tmp_path, doc, args, code,
     no traceback, also when the error crosses the sweep's worker pool."""
     if args[0] == "sweep":
         args = args + ["--out", str(tmp_path / "rows.csv")]
-    src = os.path.dirname(os.path.dirname(arzest.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-m", "arzest.cli", args[0], "--config",
          _write_config(tmp_path, doc), *args[1:]],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, timeout=120, env=_cli_env())
     assert done.returncode == code, done.stderr
     assert cause in done.stderr
     assert "Traceback" not in done.stderr

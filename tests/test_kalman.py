@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import paper_inputs, warmed_state
+
 from arzest import kalman
 from arzest.kalman import (
     EstimatorConfig,
@@ -24,7 +26,6 @@ from arzest.model import (
     Topology,
     equilibrium_state,
     measure_h,
-    pack_inputs,
     state_bounds,
     state_scale,
     step,
@@ -37,20 +38,6 @@ from arzest.scenarios import (
     run_estimation,
 )
 from arzest.sensing import build_observation
-
-V_F = 102.0
-
-
-def _inputs(topo):
-    return pack_inputs(topo, 8800.0, V_F, 30.0, (600.0,), (V_F,), (20.0, 20.0))
-
-
-def _warmed(topo, params, steps=300):
-    x = equilibrium_state(topo, params, 20.0)
-    u = _inputs(topo)
-    for _ in range(steps):
-        x = step(x, u, topo, params)
-    return x
 
 
 def _empty_C(topo):
@@ -137,8 +124,8 @@ def test_project_to_bounds_is_np_clip_bit_for_bit(topo, params):
 
 
 def test_ekf_pure_prediction_matches_model(topo, params):
-    x0 = _warmed(topo, params)
-    u = _inputs(topo)
+    x0 = warmed_state(topo, params)
+    u = paper_inputs(topo)
     st = init_state(x0, EstimatorConfig(), topo, params, "ekf")
     st2 = ekf_step(st, u, np.zeros(0), _empty_C(topo), EstimatorConfig(),
                    topo, params)
@@ -150,8 +137,8 @@ def test_ekf_empty_selector_takes_the_general_update(topo, params):
     """With no measurement rows the update solves a 0 x 0 system and
     returns the prediction of ``test_ekf_one_step_reference`` bit for bit."""
     cfg = EstimatorConfig()
-    x0 = _warmed(topo, params)
-    u = _inputs(topo)
+    x0 = warmed_state(topo, params)
+    u = paper_inputs(topo)
     st = init_state(x0, cfg, topo, params, "ekf")
     got = ekf_step(st, u, np.zeros(0), _empty_C(topo), cfg, topo, params)
 
@@ -171,8 +158,8 @@ def test_ekf_one_step_reference(topo, params):
     for bit: the filter's state-block stencil and row picks must round as
     ``linearize_model`` and the selector product do."""
     cfg = EstimatorConfig()
-    x0 = _warmed(topo, params)
-    u = _inputs(topo)
+    x0 = warmed_state(topo, params)
+    u = paper_inputs(topo)
     C_sel = build_observation([1, 5, 9], topo)
     x_true = step(x0, u, topo, params)
     y = C_sel @ measure_h(x_true, params)
@@ -206,8 +193,8 @@ def test_ukf_one_step_reference(topo, params):
     """Replicate the scaled-space UKF update with the selector product
     ``measure_h(...) @ C_sel.T``, bit for bit."""
     cfg = EstimatorConfig()
-    x0 = _warmed(topo, params)
-    u = _inputs(topo)
+    x0 = warmed_state(topo, params)
+    u = paper_inputs(topo)
     C_sel = build_observation([1, 5, 9, 11], topo)
     y = C_sel @ measure_h(step(x0, u, topo, params), params)
 
@@ -246,8 +233,8 @@ def test_enkf_one_step_reference(topo, params):
     """Replicate the EnKF update with the selector product
     ``measure_h(ens) @ C_sel.T`` and a twin generator, bit for bit."""
     cfg = EstimatorConfig()
-    x0 = _warmed(topo, params)
-    u = _inputs(topo)
+    x0 = warmed_state(topo, params)
+    u = paper_inputs(topo)
     C_sel = build_observation([1, 5, 9, 11], topo)
     y = C_sel @ measure_h(step(x0, u, topo, params), params)
 
@@ -280,10 +267,10 @@ def test_enkf_one_step_reference(topo, params):
 @pytest.mark.parametrize("kind", ["ekf", "ukf", "enkf"])
 def test_covariance_or_ensemble_stays_healthy(kind, topo, params):
     rng = np.random.default_rng(31)
-    x0 = _warmed(topo, params)
+    x0 = warmed_state(topo, params)
     run = KalmanRunner(kind, x0, EstimatorConfig(), topo, params,
                        np.random.default_rng(9))
-    u = _inputs(topo)
+    u = paper_inputs(topo)
     C = build_observation([3, 7, 9, 10, 11, 12], topo)
     x = x0.copy()
     for k in range(25):
@@ -302,10 +289,10 @@ def test_covariance_or_ensemble_stays_healthy(kind, topo, params):
 @pytest.mark.parametrize("kind", ["ekf", "ukf", "enkf"])
 def test_estimates_respect_bounds_under_large_noise(kind, topo, params):
     rng = np.random.default_rng(32)
-    x0 = _warmed(topo, params)
+    x0 = warmed_state(topo, params)
     run = KalmanRunner(kind, x0, EstimatorConfig(), topo, params,
                        np.random.default_rng(10))
-    u = _inputs(topo)
+    u = paper_inputs(topo)
     C = build_observation([9, 10, 11, 12], topo)
     lo, hi = state_bounds(topo, params)
     x = x0.copy()
@@ -319,10 +306,10 @@ def test_estimates_respect_bounds_under_large_noise(kind, topo, params):
 @pytest.mark.parametrize("kind", ["ekf", "ukf", "enkf"])
 def test_noise_free_tracking(kind, topo, params):
     """Exact measurements of every segment keep the filter near truth."""
-    x0 = _warmed(topo, params)
+    x0 = warmed_state(topo, params)
     run = KalmanRunner(kind, x0, EstimatorConfig(), topo, params,
                        np.random.default_rng(11))
-    u = _inputs(topo)
+    u = paper_inputs(topo)
     C = build_observation(list(range(1, 13)), topo)
     x = x0.copy()
     for k in range(30):
@@ -332,8 +319,8 @@ def test_noise_free_tracking(kind, topo, params):
 
 
 def test_enkf_deterministic_given_generator(topo, params):
-    x0 = _warmed(topo, params)
-    u = _inputs(topo)
+    x0 = warmed_state(topo, params)
+    u = paper_inputs(topo)
     C = build_observation([3, 9, 10, 11, 12], topo)
 
     def run(seed):
@@ -357,7 +344,7 @@ def test_enkf_deterministic_given_generator(topo, params):
 
 def test_enkf_init_state_shape_and_bounds(topo, params):
     cfg = EstimatorConfig(ensemble_size=40)
-    x0 = _warmed(topo, params)
+    x0 = warmed_state(topo, params)
     st = init_state(x0, cfg, topo, params, "enkf", np.random.default_rng(4))
     assert st.ensemble.shape == (40, topo.n_x)
     lo, hi = state_bounds(topo, params)
@@ -368,10 +355,10 @@ def test_enkf_init_state_shape_and_bounds(topo, params):
 def test_ukf_spread_validation(topo, params):
     """n + lambda must stay positive for the sigma-point weights."""
     cfg = EstimatorConfig(alpha=0.1, kappa=-30.0)
-    x0 = _warmed(topo, params)
+    x0 = warmed_state(topo, params)
     st = init_state(x0, cfg, topo, params, "ukf")
     with pytest.raises(EstimatorError):
-        ukf_step(st, _inputs(topo), np.zeros(0), _empty_C(topo), cfg,
+        ukf_step(st, paper_inputs(topo), np.zeros(0), _empty_C(topo), cfg,
                  topo, params)
 
 
@@ -380,14 +367,14 @@ def test_ekf_survives_floored_density_measurement(topo, params):
     covariance through the floored measurement Jacobian; the update must
     degrade gracefully instead of raising a linear-algebra error."""
     cfg = EstimatorConfig()
-    x0 = _warmed(topo, params)
+    x0 = warmed_state(topo, params)
     x0[0] = 0.0          # empty measured cell, large relative flow
     x0[1] = 3000.0
     x0[4] = 0.0          # second garbage row of the same magnitude
     x0[5] = 3000.0
     st = init_state(x0, cfg, topo, params, "ekf")
     C = build_observation([1, 3, 5], topo)
-    u = _inputs(topo)
+    u = paper_inputs(topo)
     y = np.zeros(C.shape[0])
     st2 = ekf_step(st, u, y, C, cfg, topo, params)
     lo, hi = state_bounds(topo, params)
@@ -398,8 +385,8 @@ def test_ekf_survives_floored_density_measurement(topo, params):
 
 def test_ukf_pure_prediction_close_to_model(topo, params):
     """With a tight initial covariance the sigma mean tracks the step map."""
-    x0 = _warmed(topo, params)
-    u = _inputs(topo)
+    x0 = warmed_state(topo, params)
+    u = paper_inputs(topo)
     cfg = EstimatorConfig(p0=1e-6)
     st = init_state(x0, cfg, topo, params, "ukf")
     st2 = ukf_step(st, u, np.zeros(0), _empty_C(topo), cfg, topo, params)
@@ -562,8 +549,8 @@ def test_ukf_covariance_jitter(topo, params, eig, events):
     cfg = EstimatorConfig()
     P = cfg.p0 * np.eye(topo.n_x)
     P[5, 5] = eig
-    st = EstimatorState(_warmed(topo, params), P=P)
-    args = (st, _inputs(topo), np.zeros(0), _empty_C(topo), cfg, topo, params)
+    st = EstimatorState(warmed_state(topo, params), P=P)
+    args = (st, paper_inputs(topo), np.zeros(0), _empty_C(topo), cfg, topo, params)
     if events is None:
         with pytest.raises(EstimatorError,
                            match="covariance is not positive definite"):

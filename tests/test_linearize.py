@@ -21,24 +21,19 @@ from arzest.model import (
     equilibrium_state,
     measure_h,
     nonlinear_f,
-    pack_inputs,
     step,
     supply,
 )
 
-from conftest import random_states
+from conftest import paper_inputs, random_states
 
 V_F = 102.0
-
-
-def _inputs(topo):
-    return pack_inputs(topo, 8800.0, V_F, 30.0, (600.0,), (V_F,), (20.0, 20.0))
 
 
 def test_model_exact_at_operating_point(topo, params):
     """A_tilde x0 + B u0 + c1 reproduces the unclamped update at x0."""
     rng = np.random.default_rng(21)
-    u0 = _inputs(topo)
+    u0 = paper_inputs(topo)
     A, _ = build_update_matrices(topo, params)
     g = params.T / params.l
     for x0 in random_states(rng, topo, 100):
@@ -82,7 +77,7 @@ def subcritical_states(rng, topo, params, n):
 def test_quadratic_remainder_decay(topo, params):
     """Halving the perturbation shrinks the affine-model error by about 4x."""
     rng = np.random.default_rng(23)
-    u0 = _inputs(topo)
+    u0 = paper_inputs(topo)
     A, _ = build_update_matrices(topo, params)
     g = params.T / params.l
     checked = 0
@@ -160,7 +155,7 @@ def test_measurement_jacobian_matches_per_segment_loop(topo, params):
 def test_jacobians_match_columnwise_reference(topo, params):
     """The stencil evaluated as one batch equals per-column evaluation."""
     rng = np.random.default_rng(25)
-    u0 = _inputs(topo)
+    u0 = paper_inputs(topo)
     x0 = random_states(rng, topo, 1)[0]
 
     Jx, _ = jacobian_fx(x0, u0, topo, params)
@@ -204,17 +199,17 @@ def test_branch_tie_flag_on_constructed_tie(topo, params):
     x_tie[3] = x_tie[2] * V_F
 
     assert abs(supply(x_tie[2], V_F, params) - D1) < TIE_TOL
-    _, tie = jacobian_fx(x_tie, _inputs(topo), topo, params)
+    _, tie = jacobian_fx(x_tie, paper_inputs(topo), topo, params)
     assert tie
     # generic states do not trip it
-    _, tie0 = jacobian_fx(x0, _inputs(topo), topo, params)
+    _, tie0 = jacobian_fx(x0, paper_inputs(topo), topo, params)
     assert not tie0
 
 
 def test_linearized_model_tracks_small_steps(topo, params):
     """Rolling the affine model forward stays near the nonlinear update."""
     x0 = equilibrium_state(topo, params, 60.0)
-    u0 = _inputs(topo)
+    u0 = paper_inputs(topo)
     for _ in range(100):
         x0 = step(x0, u0, topo, params)
     lin = linearize_model(x0, u0, topo, params)

@@ -11,6 +11,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from conftest import paper_inputs, warmed_state
 from qp_oracles import (
     brute_force_box_qp,
     dense_assemble_qp,
@@ -32,9 +33,7 @@ from arzest.mhe import (
     solve_box_qp,
 )
 from arzest.model import (
-    equilibrium_state,
     measure_h,
-    pack_inputs,
     state_bounds,
     state_scale,
     step,
@@ -51,13 +50,6 @@ from arzest.sensing import (
     positions_at,
     synthesize_measurements,
 )
-
-V_F = 102.0
-
-
-def _inputs(topo):
-    return pack_inputs(topo, 8800.0, V_F, 30.0, (600.0,), (V_F,), (20.0, 20.0))
-
 
 # ---------------------------------------------------------------------------
 # QP assembly against a direct objective evaluation
@@ -372,15 +364,15 @@ def test_session_refuses_a_zero_arrival_or_model_weight(topo, params, weights,
     """Without the arrival or the model weight the window Hessian can be
     singular, so the session refuses the configuration and names the
     weight."""
-    x0 = _warmed_state(topo, params, steps=50)
+    x0 = warmed_state(topo, params, steps=50)
     with pytest.raises(ValueError, match=f"positive {name}"):
         MheSession(x0, MheConfig(horizon=2, **weights), topo, params)
 
 
 def _noisy_session_run(topo, params, cfg=MheConfig(), steps=20):
-    x0 = _warmed_state(topo, params)
+    x0 = warmed_state(topo, params)
     sess = MheSession(x0.copy(), cfg, topo, params)
-    u = _inputs(topo)
+    u = paper_inputs(topo)
     C = build_observation([9, 10, 11, 12], topo)
     rng = np.random.default_rng(7)
     x = x0.copy()
@@ -469,19 +461,11 @@ def test_newton_results_in_a_session_pass_the_solve_checks(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _warmed_state(topo, params, steps=300):
-    x = equilibrium_state(topo, params, 20.0)
-    u = _inputs(topo)
-    for _ in range(steps):
-        x = step(x, u, topo, params)
-    return x
-
-
 def test_session_startup_window_grows(topo, params):
-    x0 = _warmed_state(topo, params)
+    x0 = warmed_state(topo, params)
     cfg = MheConfig(horizon=4)
     sess = MheSession(x0, cfg, topo, params)
-    u = _inputs(topo)
+    u = paper_inputs(topo)
     C = build_observation([9, 10, 11, 12], topo)
     for k in range(1, 8):
         y = C @ measure_h(step_n(x0, u, topo, params, k), params)
@@ -498,8 +482,8 @@ def test_session_entry_holds_the_residual_maps_of_its_linearization(
     ``(C_tilde D, y - c2)``, the model map ``(D^-1 A_tilde D, (D^-1 B) u +
     D^-1 c1)`` and the arrival ``step(x0, u)``; its cached products are
     formed from them.  At step 1 the operating point is x0 itself."""
-    x0 = _warmed_state(topo, params)
-    u = _inputs(topo)
+    x0 = warmed_state(topo, params)
+    u = paper_inputs(topo)
     C = build_observation([2, 5, 9, 11, 12], topo)
     rng = np.random.default_rng(5)
     y = (C @ measure_h(step(x0, u, topo, params), params)
@@ -537,9 +521,9 @@ def step_n(x, u, topo, params, n):
 def test_session_converges_and_tracks(topo, params):
     """Noise-free measurements on the real model: estimates stay close."""
     params_ = params
-    x0 = _warmed_state(topo, params_)
+    x0 = warmed_state(topo, params_)
     sess = MheSession(x0.copy(), MheConfig(), topo, params_)
-    u = _inputs(topo)
+    u = paper_inputs(topo)
     C = build_observation([1, 3, 7, 9, 10, 11, 12], topo)
     x = x0.copy()
     for k in range(1, 41):
@@ -554,9 +538,9 @@ def test_session_converges_and_tracks(topo, params):
 
 
 def test_session_estimates_within_bounds(topo, params):
-    x0 = _warmed_state(topo, params)
+    x0 = warmed_state(topo, params)
     sess = MheSession(x0.copy(), MheConfig(), topo, params)
-    u = _inputs(topo)
+    u = paper_inputs(topo)
     C = build_observation([9, 10, 11, 12], topo)
     lo, hi = state_bounds(topo, params)
     rng = np.random.default_rng(7)
@@ -571,8 +555,8 @@ def test_session_estimates_within_bounds(topo, params):
 def test_exact_recovery_with_affine_hooks(topo, params):
     """With a frozen affine model and affine measurements, the estimator
     must reproduce the affine truth to solver tolerance."""
-    x_eq = _warmed_state(topo, params)
-    u = _inputs(topo)
+    x_eq = warmed_state(topo, params)
+    u = paper_inputs(topo)
     lin = linearize_model(x_eq, u, topo, params)
     C_sel = build_observation([1, 3, 7, 9, 10, 11, 12], topo)
     lm = linearize_measurement(x_eq, C_sel, params)
@@ -580,10 +564,8 @@ def test_exact_recovery_with_affine_hooks(topo, params):
     def affine_step(x):
         return lin.A_tilde @ x + lin.B @ u + lin.c1
 
-    sess = MheSession(
-        x_eq.copy(), MheConfig(), topo, params,
-        linearizer=lambda x, u_, x_prev, C: (lin, lm, affine_step(x_prev)),
-    )
+    sess = MheSession(x_eq.copy(), MheConfig(), topo, params)
+    sess.linearize = lambda x, u_, x_prev, C: (lin, lm, affine_step(x_prev))
     x = x_eq.copy()
     worst = 0.0
     for k in range(1, 31):
@@ -605,18 +587,17 @@ def test_fused_arrival_matches_the_predictor_hook(reference_truth, noise):
     """The arrival a default session takes from its linearization's flux
     call is the one ``predict_arrival`` gives: over 200 reference steps with
     seed 3's noise stream (that of ``run_estimation``), a session whose
-    ``linearizer`` takes the arrival from ``predict_arrival`` returns the
+    ``linearize`` takes the arrival from ``predict_arrival`` returns the
     same bits and flags the same unconverged solves, among them step 156's
     at noise 40."""
     sc, truth = reference_truth
     topo, params = sc.topo, sc.params
     fused = MheSession(truth.traj[0], MheConfig(), topo, params)
-    hooked = MheSession(
-        truth.traj[0], MheConfig(), topo, params,
-        linearizer=lambda x, u, x_prev, C: (
-            linearize_model(x, u, topo, params),
-            linearize_measurement(x, C, params),
-            predict_arrival(x_prev, u, topo, params)))
+    hooked = MheSession(truth.traj[0], MheConfig(), topo, params)
+    hooked.linearize = lambda x, u, x_prev, C: (
+        linearize_model(x, u, topo, params),
+        linearize_measurement(x, C, params),
+        predict_arrival(x_prev, u, topo, params))
     noise_ss, _ = np.random.SeedSequence(3).spawn(2)
     rng = np.random.default_rng(noise_ss)
     unconverged = []

@@ -45,7 +45,7 @@ from arzest.model import (
     supply,
 )
 
-from conftest import random_states
+from conftest import paper_inputs, random_states
 
 V_F, RHO_M, GAMMA = 102.0, 345.0, 1.75
 
@@ -302,14 +302,10 @@ def test_diverge_supply_limited(params):
 # ---------------------------------------------------------------------------
 
 
-def _paper_inputs(topo):
-    return pack_inputs(topo, 8800.0, V_F, 30.0, (600.0,), (V_F,), (20.0, 20.0))
-
-
 def test_compute_fluxes_interior_consistency(topo, params):
     rng = np.random.default_rng(7)
     x = random_states(rng, topo, 1)[0]
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     fl = compute_fluxes(x, u, topo, params)
     assert np.all(fl.q_in >= 0) and np.all(fl.q_out >= 0)
     assert np.all(fl.phi_in >= 0) and np.all(fl.phi_out >= 0)
@@ -321,7 +317,7 @@ def test_compute_fluxes_interior_consistency(topo, params):
 def test_global_conservation_over_run(topo, params):
     """Density change times cell length equals net boundary flow times T."""
     x = equilibrium_state(topo, params, 60.0)
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     for _ in range(200):
         fl = compute_fluxes(x, u, topo, params)
         x_next = step(x, u, topo, params)
@@ -364,13 +360,13 @@ def test_step_blowup_raises(topo, params):
     x = equilibrium_state(topo, params, 60.0)
     x[0] = math.nan
     with pytest.raises(BlowupError):
-        step(x, _paper_inputs(topo), topo, params)
+        step(x, paper_inputs(topo), topo, params)
 
 
 def test_step_respects_physical_box(topo, params):
     rng = np.random.default_rng(8)
     lo, hi = state_bounds(topo, params)
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     for x in random_states(rng, topo, 100):
         x_new = step(x, u, topo, params)
         assert np.all(x_new >= lo) and np.all(x_new <= hi)
@@ -390,7 +386,7 @@ def test_equilibrium_state_layout(topo, params):
 def test_batch_matches_scalar_f(topo, params):
     rng = np.random.default_rng(9)
     X = random_states(rng, topo, 200, rho_lo=0.0, w_lo=0.0)
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     F = nonlinear_f(X, u, topo, params)
     for i in range(X.shape[0]):
         f = nonlinear_f(X[i], u, topo, params)
@@ -400,7 +396,7 @@ def test_batch_matches_scalar_f(topo, params):
 def test_batch_matches_scalar_step_and_measure(topo, params):
     rng = np.random.default_rng(10)
     X = random_states(rng, topo, 100)
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     S = step_batch(X, u, topo, params)
     H = measure_h(X, params)
     for i in range(X.shape[0]):
@@ -430,7 +426,7 @@ def test_batch_scaled_demand_supply(topo, params):
     """Per-segment demand/supply scaling matches the scalar path."""
     rng = np.random.default_rng(13)
     X = random_states(rng, topo, 50)
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     scales = np.ones(topo.n_segments)
     scales[6] = 0.3
     F = nonlinear_f(X, u, topo, params, ds_scale=scales)
@@ -444,7 +440,7 @@ def test_step_batch_blowup(topo, params):
     X = np.vstack([equilibrium_state(topo, params, 60.0)] * 3)
     X[1, 4] = math.inf
     with pytest.raises(BlowupError):
-        step_batch(X, _paper_inputs(topo), topo, params)
+        step_batch(X, paper_inputs(topo), topo, params)
 
 
 @pytest.mark.parametrize("order, want", [((0, 1, 2, 3, 4), (10, -math.inf)),
@@ -453,7 +449,7 @@ def test_step_batch_blowup_names_the_first_index_of_any_row(topo, params,
                                                             order, want):
     """A population whose rows blow up at state indices 14, 10, 10 and 12
     reports index 10, with the value of the first row non-finite there."""
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     X = np.vstack([equilibrium_state(topo, params, 60.0)] * 5)
     for row, (i, v) in enumerate([(14, -math.inf), (10, -math.inf),
                                   (10, math.inf), (12, math.inf)], 1):
@@ -472,7 +468,7 @@ def test_step_batch_blowup_names_the_first_index_of_any_row(topo, params,
 
 def test_step_rejects_wrong_input_length(topo, params):
     x = equilibrium_state(topo, params, 60.0)
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     for bad in (u[:-1], np.append(u, 20.0), u[:1]):
         with pytest.raises(ModelError, match="inputs"):
             step(x, bad, topo, params)
@@ -489,7 +485,7 @@ def _shapes(*shapes):
 def test_kernel_names_a_state_of_the_wrong_width(topo, params, extra):
     x = equilibrium_state(topo, params, 60.0)
     bad = np.resize(x, x.size + extra)
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     for call, states in ((step, bad), (nonlinear_f, bad),
                          (compute_fluxes, bad), (step_batch, bad[None, :])):
         with pytest.raises(ModelError, match=_shapes(topo.n_x, states.shape)):
@@ -501,7 +497,7 @@ def test_kernel_names_inputs_that_do_not_fit_the_states(topo, params):
     takes one input vector and ``compute_fluxes`` takes one state; each
     error names the expected and the given shape."""
     x = equilibrium_state(topo, params, 60.0)
-    u = _paper_inputs(topo)
+    u = paper_inputs(topo)
     X, U = np.vstack([x] * 5), np.vstack([u] * 3)
     with pytest.raises(ModelError, match=_shapes((5, topo.n_u), (3, topo.n_u))):
         step_batch(X, U, topo, params)

@@ -105,9 +105,18 @@ def test_scenario_validation():
             Scenario(**{**sc.__dict__, "noise_std": std})
     with pytest.raises(ValueError, match="noise_std"):
         default_scenario(20, -5.0)
-    for seeds in ((), (0, -1)):
+    for seeds in ((), (0, -1), (0.5,)):
         with pytest.raises(ValueError, match="seeds"):
             Scenario(**{**sc.__dict__, "seeds": seeds})
+    with pytest.raises(ValueError, match="warmup_steps"):
+        Scenario(**{**sc.__dict__, "warmup_steps": -3})
+    # A state of the wrong shape, a negative density, a non-finite entry
+    # and a density above rho_m.
+    x = generate_truth(sc).traj[0]
+    for bad in (x[:-1], np.r_[-1.0, x[1:]], np.r_[x[:-1], np.nan],
+                np.r_[x[:-2], sc.params.rho_m + 1.0, x[-1]]):
+        with pytest.raises(ValueError, match="x_init"):
+            Scenario(**{**sc.__dict__, "x_init": bad})
     # Layouts that only the topology can refuse: a segment past the last
     # one, and a mobile start on a ramp.
     for sched in (SensorSchedule(fixed_segments=(99,)),

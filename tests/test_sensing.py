@@ -136,11 +136,14 @@ def test_build_observation_rows(topo):
     assert np.sum(C) == 4.0
 
 
-def test_build_observation_drops_duplicates(topo, caplog):
-    with caplog.at_level("WARNING"):
-        C = build_observation([3, 3, 5], topo)
-    assert C.shape == (4, topo.n_x)
-    assert any("duplicate" in r.message for r in caplog.records)
+def test_build_observation_reads_a_repeated_segment_twice(topo):
+    """One row pair per listed segment: segment 3 listed twice gives its
+    pair twice, and the other rows are those of ``[3, 5]``."""
+    C = build_observation([3, 3, 5], topo)
+    assert C.shape == (6, topo.n_x)
+    np.testing.assert_array_equal(C[2:4], C[0:2])
+    np.testing.assert_array_equal(C[[0, 1, 4, 5]], build_observation([3, 5], topo))
+    assert C[0, 4] == 1.0 and C[1, 5] == 1.0
 
 
 def test_build_observation_range_check(topo):
