@@ -359,16 +359,14 @@ def _open_out(path: str | None):
     return open(path, "w", newline="", encoding="utf-8")
 
 
-def cmd_simulate(args) -> int:
-    sc, step_s = build_scenario(_load_config(args.config))
+def cmd_simulate(args, sc: Scenario, step_s: float) -> int:
     truth = generate_truth(sc)
     with _open_out(args.out) as out:
         _write_trajectory(out, truth.obs, step_s, args.smooth)
     return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    sc, step_s = build_scenario(_load_config(args.config))
+def cmd_estimate(args, sc: Scenario, step_s: float) -> int:
     spec = (EstimatorSpec(args.estimator) if args.estimator
             else sc.estimators[0])
     truth = generate_truth(sc)
@@ -391,8 +389,7 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    sc, _ = build_scenario(_load_config(args.config))
+def cmd_sweep(args, sc: Scenario, step_s: float) -> int:
     try:
         rows = _SWEEPS[args.sweep](sc, jobs=args.jobs)
     except ValueError as exc:  # a sweep's sensor layout the network refuses
@@ -401,8 +398,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_gramian(args) -> int:
-    sc, _ = build_scenario(_load_config(args.config))
+def cmd_gramian(args, sc: Scenario, step_s: float) -> int:
     # Only the warmed first state is read: simulate one step, not the run.
     x0 = generate_truth(replace(sc, t_f=1, inputs=sc.inputs[:1],
                                 jam=None)).traj[0]
@@ -410,7 +406,7 @@ def cmd_gramian(args) -> int:
     positions = positions_at(sc.schedule, sc.topo, 0)
     lm = linearize_measurement(x0, build_observation(positions, sc.topo),
                                sc.params)
-    _, _, d, ratio = _box_and_scale(sc.topo, sc.params)
+    _, _, d, ratio, _ = _box_and_scale(sc.topo, sc.params)
     res = observability_gramian(lin.A_tilde * ratio, lm.C_tilde * d,
                                 terms=args.terms)
     report = {
@@ -508,7 +504,7 @@ def main(argv=None) -> int:
         if not existed:
             os.remove(out)
     try:
-        code = args.func(args)
+        code = args.func(args, *build_scenario(_load_config(args.config)))
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ConfigError as exc:

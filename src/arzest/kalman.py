@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linearize import _relaxation, _stencils, measurement_jacobian
+from .linearize import _stencils, measurement_jacobian
 from .model import (
     ModelParams,
     Topology,
@@ -103,7 +103,7 @@ def init_state(x0, cfg: EstimatorConfig, topo: Topology, params: ModelParams,
     if kind == "enkf":
         if rng is None:
             rng = np.random.default_rng(0)
-        lo, hi, d, _ = _box_and_scale(topo, params)
+        lo, hi, d, *_ = _box_and_scale(topo, params)
         n = x0.size
         pert = rng.standard_normal((cfg.ensemble_size, n)) * math.sqrt(cfg.p0)
         ens = project_to_bounds(x0 + pert * d, lo, hi)
@@ -131,7 +131,7 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     ``u`` drove the transition into the newly measured state; an empty
     selector (zero rows) makes the update a 0 x 0 solve: a pure prediction.
     """
-    lo, hi, d, ratio = _box_and_scale(topo, params)
+    lo, hi, d, ratio, A = _box_and_scale(topo, params)
     n = state.x.size
 
     # Only the state block of the model's Jacobian: linearize_model's
@@ -139,7 +139,7 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     # space.  The same flux call's unperturbed row gives the prediction
     # step(x, u).
     (Jx,), _, F = _stencils(state.x, u, topo, params, None, "x")
-    As = (_relaxation(topo, params) + params.T / params.l * Jx) * ratio
+    As = (A + params.T / params.l * Jx) * ratio
     x_pred = _update(state.x, F[0], topo, params)
     P_pred = _sym(As @ state.P @ As.T + cfg.q * _eye(n))
 
@@ -240,7 +240,7 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     Sigma points are drawn in the scaled space, projected into the physical
     box, then pushed through the nonlinear update and measurement maps.
     """
-    lo, hi, d, _ = _box_and_scale(topo, params)
+    lo, hi, d, *_ = _box_and_scale(topo, params)
     n = state.x.size
     lam = cfg.alpha ** 2 * (n + cfg.kappa) - n
     if n + lam <= 0:
@@ -284,7 +284,7 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
               topo: Topology, params: ModelParams,
               rng: np.random.Generator) -> EstimatorState:
     """Stochastic ensemble Kalman step with perturbed observations."""
-    lo, hi, d, _ = _box_and_scale(topo, params)
+    lo, hi, d, *_ = _box_and_scale(topo, params)
     n = state.x.size
     M = state.ensemble.shape[0]
 
@@ -319,7 +319,11 @@ def enkf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
 
 
 class KalmanRunner:
-    """Stateful wrapper giving the three filters one step(u, y, C) interface."""
+    """Stateful wrapper giving the three filters one step(u, y, C) interface.
+
+    ``events`` is ``{"jitter": n}``, a new dict per read: the ridge
+    escalations counted so far in ``state.jitter_events``.
+    """
 
     def __init__(self, kind: str, x0, cfg: EstimatorConfig, topo: Topology,
                  params: ModelParams, rng: np.random.Generator | None = None):
@@ -336,6 +340,10 @@ class KalmanRunner:
         self.params = params
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.state = init_state(x0, cfg, topo, params, kind, self.rng)
+
+    @property
+    def events(self) -> dict[str, int]:
+        return {"jitter": self.state.jitter_events}
 
     def step(self, u, y, C_sel) -> np.ndarray:
         if self.kind == "ekf":

@@ -31,7 +31,6 @@ with the selector would only add exact zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,10 +38,10 @@ from .model import (
     EPS_RHO,
     ModelParams,
     Topology,
+    _box_and_scale,
     _dp,
     _net_flux,
     _update,
-    build_update_matrices,
     measure_h,
 )
 
@@ -160,15 +159,6 @@ def jacobian_fu(x0, u0, topo: Topology, params: ModelParams,
     return J, tie
 
 
-@lru_cache(maxsize=32)
-def _relaxation(topo: Topology, params: ModelParams) -> np.ndarray:
-    """The linear part A of the update, built once per network and
-    read-only."""
-    A = build_update_matrices(topo, params)[0]
-    A.flags.writeable = False
-    return A
-
-
 def linearize_model(x0, u0, topo: Topology, params: ModelParams,
                     ds_scale=None, *, step_from=None) -> LinearizedModel:
     """Affine update model about (x0, u0).
@@ -184,7 +174,7 @@ def linearize_model(x0, u0, topo: Topology, params: ModelParams,
     g = params.T / params.l  # the input gain G is g * I
     (Jx, Ju), tie, F = _stencils(x0, u0, topo, params, ds_scale, "xu",
                                  step_from)
-    A_tilde = _relaxation(topo, params) + g * Jx
+    A_tilde = _box_and_scale(topo, params)[4] + g * Jx
     B = g * Ju
     c1 = g * (F[0] - Jx @ x0 - Ju @ u0)
     x_next = None

@@ -489,6 +489,9 @@ class MheSession:
     models and their step, the session is an exact estimator for an
     affine system.  A window solve that meets a singular pivot block in
     float64 raises ``EstimatorError``.
+
+    ``events`` is ``{"qp_fail": n}``, a new dict per read: the window
+    solves so far that stopped unconverged, ``failed_solves``.
     """
 
     def __init__(self, x0, cfg: MheConfig, topo: Topology, params: ModelParams):
@@ -500,7 +503,7 @@ class MheSession:
         self.topo = topo
         self.params = params
         self.x0 = np.asarray(x0, dtype=float).copy()
-        self._lo, self._hi, self._d, self._ratio = _box_and_scale(
+        self._lo, self._hi, self._d, self._ratio, _ = _box_and_scale(
             topo, params)
         self._lo_s = self._lo / self._d
         self._hi_s = self._hi / self._d
@@ -509,6 +512,10 @@ class MheSession:
         self._window = self.x0[None, :]
         self.failed_solves = 0
         self.last_info: SolveInfo | None = None
+
+    @property
+    def events(self) -> dict[str, int]:
+        return {"qp_fail": self.failed_solves}
 
     def linearize(self, x_o, u, x_prev, C_sel):
         """The model and the measurement linearized at ``(x_o, u)``, and the

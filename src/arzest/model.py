@@ -269,14 +269,16 @@ def state_scale(topo: Topology, params: ModelParams) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _box_and_scale(topo: Topology, params: ModelParams):
-    """``(lo, hi, d, ratio)``: ``state_bounds``, ``state_scale`` and the
+    """``(lo, hi, d, ratio, A)``: ``state_bounds``, ``state_scale``, the
     factor ``ratio = d[None, :] / d[:, None]`` that takes a state matrix
-    into the scaled space elementwise (``A * ratio`` is ``D^-1 A D``).
+    into the scaled space elementwise (``A * ratio`` is ``D^-1 A D``) and
+    the update's linear part A (relaxation) of ``build_update_matrices``.
     Built once per network, keyed on the equal-hashing ``(topo, params)``,
     and read-only, for code that reads them every step."""
     lo, hi = state_bounds(topo, params)
     d = state_scale(topo, params)
-    arrays = (lo, hi, d, d[None, :] / d[:, None])
+    arrays = (lo, hi, d, d[None, :] / d[:, None],
+              build_update_matrices(topo, params)[0])
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -912,7 +914,7 @@ def _update(x, f, topo: Topology, params: ModelParams, margin=math.inf,
         # first such state's value
         first = tuple(np.argwhere(~np.isfinite(x_new))[0])
         raise BlowupError(int(first[0]), float(x_new[first]))
-    lo, hi, _, _ = _box_and_scale(topo, params)
+    lo, hi, *_ = _box_and_scale(topo, params)
     at = _per_row(x_new)
     lo, hi = lo[at], hi[at]
     if diag is not None:

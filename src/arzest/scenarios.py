@@ -362,7 +362,11 @@ def moving_average(series, window: int) -> np.ndarray:
 
 def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
                    seed: int) -> RunResult:
-    """One estimator pass over a truth trajectory with seeded noise."""
+    """One estimator pass over a truth trajectory with seeded noise.
+
+    The result's ``flags`` name each nonzero count of the estimator's
+    ``events`` as ``name=n``, then ``bounds`` if an estimate left the
+    physical box, joined by ``;``."""
     params, topo = sc.params, sc.topo
     root = np.random.SeedSequence(seed)
     noise_ss, est_ss = root.spawn(2)
@@ -390,13 +394,7 @@ def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
     lo, hi = state_bounds(topo, params)
     within = not (np.any(est[1:] < lo - 1e-12) or np.any(est[1:] > hi + 1e-12))
     r_rho, r_v = rmse(truth.traj, est, params, truth_obs=truth.obs)
-    flags = []
-    if isinstance(estimator, MheSession):
-        if estimator.failed_solves:
-            flags.append(f"qp_fail={estimator.failed_solves}")
-    else:
-        if estimator.state.jitter_events:
-            flags.append(f"jitter={estimator.state.jitter_events}")
+    flags = [f"{name}={n}" for name, n in estimator.events.items() if n]
     if not within:
         flags.append("bounds")
     return RunResult(

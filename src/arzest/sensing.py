@@ -11,6 +11,7 @@ noise from the caller's generator to the rows it selects.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +46,8 @@ class SensorSchedule:
     def __post_init__(self):
         object.__setattr__(self, "fixed_segments", tuple(self.fixed_segments))
         object.__setattr__(self, "initial_positions", tuple(self.initial_positions))
+        for s in self.fixed_segments + self.initial_positions:
+            _check_segment(s)
         if len(set(self.fixed_segments)) != len(self.fixed_segments):
             raise ValueError("duplicate fixed sensor segment")
         if self.mobile_count != len(self.initial_positions):
@@ -57,6 +60,12 @@ class SensorSchedule:
         for s in self.initial_positions:
             if s in self.fixed_segments:
                 raise ValueError(f"mobile start {s} collides with a fixed sensor")
+
+
+def _check_segment(s) -> None:
+    """Refuse a segment id that is not an integer (``bool`` included)."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+        raise ValueError(f"sensor segment {s!r} is not an integer")
 
 
 @lru_cache(maxsize=32)
@@ -96,12 +105,14 @@ def build_observation(measured, topo: Topology) -> np.ndarray:
     """Row selector with one (density, speed) row pair per listed segment.
 
     The pairs follow the listed order, and a segment listed twice is read
-    twice.  ``SensorSchedule`` refuses repeated sensors and
+    twice; an id that is not an integer is refused, not truncated.
+    ``SensorSchedule`` refuses repeated sensors and
     ``positions_at`` never repeats a segment, so a schedule's selector
     reads each measured segment once.
     """
     C = np.zeros((2 * len(measured), topo.n_x))
-    for r, s in enumerate(map(int, measured)):
+    for r, s in enumerate(measured):
+        _check_segment(s)
         if not 1 <= s <= topo.n_segments:
             raise ValueError(f"segment id {s} out of range 1..{topo.n_segments}")
         C[2 * r, 2 * (s - 1)] = 1.0

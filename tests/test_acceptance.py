@@ -1,4 +1,5 @@
-"""Release gate: ten acceptance criteria, one test per criterion.
+"""Release gate: ten acceptance criteria, one test per criterion, and a
+table that pins criterion 7's errors.
 
 Expensive artifacts (the 500-step reference truth, the ordering sweeps and
 the timed estimator run) are computed once in module-scoped fixtures and
@@ -6,6 +7,7 @@ shared.  Each criterion prints a single [PASS]/[FAIL] line on the real
 stdout so the gate status reads off directly even under output capture.
 """
 import json
+import math
 import os
 import sys
 import time
@@ -365,6 +367,54 @@ def test_c07_estimator_orderings(ordering_rows):
     _report(7, "estimator orderings", ok,
             "all four orderings hold with >1% separation" if ok
             else f"violated: {'; '.join(fails)}")
+
+
+# The criterion-7 rows at noise 0 and 1 (5 seeds): (sweep, estimator,
+# knob) -> (rmse_rho veh/km, rmse_v km/h, flags), as the tree read them
+# when the table was made.
+PINNED_ROWS = {
+    ("a", "ekf", 0): (58.9954, 21.1019, ""),
+    ("a", "ukf", 0): (44.0195, 15.9081, ""),
+    ("a", "enkf", 0): (59.6894, 20.9219, ""),
+    ("a", "mhe", 0): (97.4732, 33.6242, ""),
+    ("a", "ekf", 8): (3.56630, 2.89963, ""),
+    ("a", "ukf", 8): (3.47071, 3.80679, ""),
+    ("a", "enkf", 8): (3.96098, 3.66017, ""),
+    ("a", "mhe", 8): (3.57639, 2.94626, ""),
+    ("b", "mhe", 1): (6.86845, 4.35443, ""),
+    ("b", "mhe", "inf"): (27.5744, 11.7592, ""),
+    ("c", "mhe", "1-2-3@inf"): (68.8085, 23.6886, ""),
+    ("c", "mhe", "1-4-7@inf"): (23.5370, 10.8671, ""),
+    ("d", "ekf", 0.0): (20.4235, 7.82830, ""),
+    ("d", "ukf", 0.0): (18.6340, 7.50504, ""),
+    ("d", "enkf", 0.0): (22.0584, 8.55516, "jitter=1|jitter=3"),
+    ("d", "mhe", 0.0): (26.5191, 9.77380, ""),
+}
+
+
+def test_c07_errors_stay_within_one_percent_of_the_pinned_rows(
+        ordering_rows):
+    """Criterion 7 orders the estimators; this bounds their errors.  Each
+    row at noise 0 or 1 reads at most 1.01 times its pinned RMSEs, with the
+    pinned flags.  A one-ulp change of the truth moves the noise-40 rows by
+    up to 8% in rmse_rho and 18% in rmse_v, so they are only required to be
+    finite."""
+    fails = []
+    for (sweep, kind, knob), (rho, v, flags) in PINNED_ROWS.items():
+        row = _row(ordering_rows[sweep], estimator=kind, knob=knob)
+        for metric, pinned in (("rmse_rho", rho), ("rmse_v", v)):
+            if not row[metric] <= 1.01 * pinned:
+                fails.append(f"{sweep}:{kind}@{knob} {metric} "
+                             f"{row[metric]:.4f} > 1.01 x {pinned}")
+        if row["flags"] != flags:
+            fails.append(f"{sweep}:{kind}@{knob} flags {row['flags']!r} "
+                         f"!= {flags!r}")
+    for kind in ALL_KINDS:
+        row = _row(ordering_rows["d"], estimator=kind, knob=40.0)
+        if not (math.isfinite(row["rmse_rho"])
+                and math.isfinite(row["rmse_v"])):
+            fails.append(f"d:{kind}@40.0 is not finite")
+    assert not fails, "; ".join(fails)
 
 
 def test_c08_bounds(ordering_rows, mhe_timed):

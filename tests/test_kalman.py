@@ -284,6 +284,7 @@ def test_covariance_or_ensemble_stays_healthy(kind, topo, params):
         else:
             assert run.state.ensemble.shape == (100, topo.n_x)
     assert run.state.jitter_events == 0
+    assert run.events == {"jitter": run.state.jitter_events}
 
 
 @pytest.mark.parametrize("kind", ["ekf", "ukf", "enkf"])

@@ -395,6 +395,7 @@ def test_exhausted_newton_budget_is_flagged(topo, params):
     assert all(i.iterations == 0 for i in infos)
     assert sess.last_info is infos[-1]
     assert sess.failed_solves == sum(not i.converged for i in infos) > 0
+    assert sess.events == {"qp_fail": sess.failed_solves}
     lo, hi = state_bounds(topo, params)
     assert np.all(est >= lo) and np.all(est <= hi)
 

@@ -75,6 +75,8 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         SensorSchedule(fixed_segments=FIXED, mobile_count=1,
                        rotation_period=15, initial_positions=(9,))
+    with pytest.raises(ValueError, match="2.5"):
+        SensorSchedule(fixed_segments=(2.5,))
 
 
 def test_mobile_start_must_be_free_mainline(topo):
@@ -151,6 +153,8 @@ def test_build_observation_range_check(topo):
         build_observation([0], topo)
     with pytest.raises(ValueError):
         build_observation([13], topo)
+    with pytest.raises(ValueError, match="2.5"):
+        build_observation([2.5], topo)
 
 
 def test_noise_model_validation(topo, params):
