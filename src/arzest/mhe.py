@@ -503,10 +503,6 @@ class MheSession:
         self.topo = topo
         self.params = params
         self.x0 = np.asarray(x0, dtype=float).copy()
-        self._lo, self._hi, self._d, self._ratio, _ = _box_and_scale(
-            topo, params)
-        self._lo_s = self._lo / self._d
-        self._hi_s = self._hi / self._d
         self.buffer = HorizonBuffer(cfg.horizon)
         self.t = 0
         self._window = self.x0[None, :]
@@ -527,12 +523,12 @@ class MheSession:
     def _make_entry(self, time: int, u, y, C_sel) -> HorizonEntry:
         x_o = operating_point(self._window)
         lin, lm, arrival = self.linearize(x_o, u, self._window[-1], C_sel)
-        d = self._d
+        _, _, d, ratio, _ = _box_and_scale(self.topo, self.params)
         return HorizonEntry(
             time=time,
             C_s=lm.C_tilde * d[None, :],
             resid=y - lm.c2,
-            A_s=lin.A_tilde * self._ratio,
+            A_s=lin.A_tilde * ratio,
             r=(lin.B / d[:, None]) @ u + lin.c1 / d,
             arrival=arrival,
         )
@@ -544,8 +540,8 @@ class MheSession:
             x_bar = self.x0
         else:
             x_bar = self.buffer.entries[0].arrival
-        qp = assemble_qp(self.buffer, x_bar / self._d, self.cfg,
-                         self._lo_s, self._hi_s)
+        lo, hi, d, *_ = _box_and_scale(self.topo, self.params)
+        qp = assemble_qp(self.buffer, x_bar / d, self.cfg, lo / d, hi / d)
         try:
             z, info = solve_box_qp(qp, self.cfg.tol_kkt, self.cfg.max_iter)
         except np.linalg.LinAlgError as exc:
@@ -556,7 +552,7 @@ class MheSession:
         self.last_info = info
         if not info.converged:
             self.failed_solves += 1
-        blocks = z.reshape(qp.n_blocks, qp.n_x) * self._d
+        blocks = z.reshape(qp.n_blocks, qp.n_x) * d
         # Rescaling to natural units can brush a bound by one ulp.
-        self._window = _clip(blocks, self._lo, self._hi)
+        self._window = _clip(blocks, lo, hi)
         return self._window[-1].copy()

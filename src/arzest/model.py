@@ -274,7 +274,8 @@ def _box_and_scale(topo: Topology, params: ModelParams):
     into the scaled space elementwise (``A * ratio`` is ``D^-1 A D``) and
     the update's linear part A (relaxation) of ``build_update_matrices``.
     Built once per network, keyed on the equal-hashing ``(topo, params)``,
-    and read-only, for code that reads them every step."""
+    and read-only, for code that reads them every step: the three
+    filters, the MHE session, ``_update`` and ``linearize_model``."""
     lo, hi = state_bounds(topo, params)
     d = state_scale(topo, params)
     arrays = (lo, hi, d, d[None, :] / d[:, None],
@@ -300,18 +301,21 @@ def _clip(x, lo, hi):
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative(what: str, value: float) -> None:
+    if value < 0:
+        raise ModelError(f"{what} must be nonnegative, got {value}")
+
+
 def pressure(rho: float, params: ModelParams) -> float:
     """Traffic pressure p(rho) = v_f * (rho/rho_m)**gamma (km/h)."""
-    if rho < 0:
-        raise ModelError(f"density must be nonnegative, got {rho}")
+    _nonnegative("density", rho)
     return _p(rho, params.v_f, params.rho_m, params.gamma)
 
 
 def pressure_gradient(rho: float, params: ModelParams) -> float:
     """dp/drho.  At rho = 0 this is the one-sided limit: 0 for gamma > 1,
     v_f/rho_m for gamma = 1 and +inf for gamma < 1."""
-    if rho < 0:
-        raise ModelError(f"density must be nonnegative, got {rho}")
+    _nonnegative("density", rho)
     if rho == 0.0 and params.gamma < 1:
         return math.inf
     return _dp(rho, params.v_f, params.rho_m, params.gamma)
@@ -365,10 +369,8 @@ def demand(rho: float, w: float, params: ModelParams) -> float:
     Equals ``rho * (w - p(rho))`` below the critical density and the
     w-dependent capacity above it; continuous at the breakpoint.
     """
-    if rho < 0:
-        raise ModelError(f"density must be nonnegative, got {rho}")
-    if w < 0:
-        raise ModelError(f"driver characteristic must be nonnegative, got {w}")
+    _nonnegative("density", rho)
+    _nonnegative("driver characteristic", w)
     return float(_demand(rho, w, params.v_f, params.rho_m, params.gamma))
 
 
@@ -378,10 +380,8 @@ def supply(rho: float, w_up: float, params: ModelParams) -> float:
     The incoming traffic's characteristic decides the capacity branch; a
     nearly full cell accepts ``rho * (w_up - p(rho))``, floored at zero.
     """
-    if rho < 0:
-        raise ModelError(f"density must be nonnegative, got {rho}")
-    if w_up < 0:
-        raise ModelError(f"driver characteristic must be nonnegative, got {w_up}")
+    _nonnegative("density", rho)
+    _nonnegative("driver characteristic", w_up)
     return float(_supply(rho, w_up, params.v_f, params.rho_m, params.gamma))
 
 

@@ -134,8 +134,8 @@ def test_ekf_pure_prediction_matches_model(topo, params):
 
 
 def test_ekf_empty_selector_takes_the_general_update(topo, params):
-    """With no measurement rows the update solves a 0 x 0 system and
-    returns the prediction of ``test_ekf_one_step_reference`` bit for bit."""
+    """With no measurement rows the step returns the prediction of
+    ``test_ekf_one_step_reference`` and its covariance, bit for bit."""
     cfg = EstimatorConfig()
     x0 = warmed_state(topo, params)
     u = paper_inputs(topo)
@@ -189,13 +189,16 @@ def test_ekf_one_step_reference(topo, params):
     assert got.P.tobytes() == P_want.tobytes()
 
 
-def test_ukf_one_step_reference(topo, params):
+@pytest.mark.parametrize("segments", [[1, 5, 9, 11], []],
+                         ids=["measured", "blind"])
+def test_ukf_one_step_reference(topo, params, segments):
     """Replicate the scaled-space UKF update with the selector product
-    ``measure_h(...) @ C_sel.T``, bit for bit."""
+    ``measure_h(...) @ C_sel.T``, bit for bit; with no segment, the update
+    of a 0 x 0 system."""
     cfg = EstimatorConfig()
     x0 = warmed_state(topo, params)
     u = paper_inputs(topo)
-    C_sel = build_observation([1, 5, 9, 11], topo)
+    C_sel = build_observation(segments, topo)
     y = C_sel @ measure_h(step(x0, u, topo, params), params)
 
     st = init_state(x0, cfg, topo, params, "ukf")
