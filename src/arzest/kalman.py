@@ -128,9 +128,8 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
              topo: Topology, params: ModelParams) -> EstimatorState:
     """Extended Kalman step: nonlinear predict, affine-model covariance.
 
-    ``u`` drove the transition into the newly measured state; with an
-    empty selector (zero rows) the step returns the prediction and its
-    covariance, and does no measurement work.
+    ``u`` drove the transition into the newly measured state; an empty
+    selector (zero rows) makes the update a 0 x 0 solve: a pure prediction.
     """
     lo, hi, d, ratio, A = _box_and_scale(topo, params)
     n = state.x.size
@@ -145,9 +144,6 @@ def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     P_pred = _sym(As @ state.P @ As.T + cfg.q * _eye(n))
 
     rows = np.asarray(C_sel).argmax(axis=1)
-    if rows.size == 0:
-        return EstimatorState(x_pred, P=P_pred, k=state.k + 1,
-                              jitter_events=state.jitter_events)
     Cs = measurement_jacobian(x_pred, params)[0].take(rows, axis=0) * d
     innov = np.asarray(y, dtype=float) - measure_h(x_pred, params).take(rows)
     S = Cs @ P_pred @ Cs.T + cfg.r * _eye(rows.size)
@@ -271,10 +267,6 @@ def ukf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,
     P_pred = _sym(dev_w @ dev + cfg.q * _eye(n))
 
     rows = np.asarray(C_sel).argmax(axis=1)
-    if rows.size == 0:
-        return EstimatorState(project_to_bounds(x_pred_s * d, lo, hi),
-                              P=P_pred, k=state.k + 1,
-                              jitter_events=state.jitter_events)
     Y = measure_h(prop * d[None, :], params).take(rows, axis=1)
     y_pred = wm @ Y
     dy = Y - y_pred

@@ -134,8 +134,8 @@ def test_ekf_pure_prediction_matches_model(topo, params):
 
 
 def test_ekf_empty_selector_takes_the_general_update(topo, params):
-    """With no measurement rows the step returns the prediction of
-    ``test_ekf_one_step_reference`` and its covariance, bit for bit."""
+    """With no measurement rows the update solves a 0 x 0 system and
+    returns the prediction of ``test_ekf_one_step_reference`` bit for bit."""
     cfg = EstimatorConfig()
     x0 = warmed_state(topo, params)
     u = paper_inputs(topo)

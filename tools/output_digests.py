@@ -19,11 +19,12 @@ import pathlib
 import sys
 import tempfile
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
 import arzest as az
-from arzest import cli
+from arzest import cli, scenarios
 
 KINDS = ("ekf", "ukf", "enkf", "mhe")
 
@@ -98,27 +99,6 @@ def _run(sc, truth, kind: str, seed: int) -> str:
     return _sha(r.est, r.rmse_rho, r.rmse_v, r.flags, r.within_bounds)
 
 
-def _blind_stretch(sc, truth, kind: str) -> str:
-    """Seed 0 stepped as ``run_estimation`` steps it, except that steps
-    ``t_f//3 + 1`` to ``2*t_f//3`` get a selector with no row."""
-    noise_ss, est_ss = np.random.SeedSequence(0).spawn(2)
-    rng_noise = np.random.default_rng(noise_ss)
-    x0 = truth.traj[0].copy()
-    est = az.make_estimator(az.EstimatorSpec(kind), x0, sc.topo, sc.params,
-                            np.random.default_rng(est_ss))
-    blind = np.zeros((0, sc.topo.n_x))
-    states = [x0]
-    for k in range(1, sc.t_f + 1):
-        C = az.build_observation(az.positions_at(sc.schedule, sc.topo, k - 1),
-                                 sc.topo)
-        if sc.t_f // 3 < k <= 2 * sc.t_f // 3:
-            C = blind
-        y = az.synthesize_measurements(truth.obs[k], C, sc.noise_std,
-                                       rng_noise)
-        states.append(est.step(sc.inputs[k - 1], y, C))
-    return _sha(np.array(states), est.events)
-
-
 def digests(t_f: int = 500) -> dict[str, str]:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -160,8 +140,17 @@ def digests(t_f: int = 500) -> dict[str, str]:
     blind = replace(ref, schedule=az.SensorSchedule(fixed_segments=()))
     for kind in KINDS:
         out[f"run no sensors {kind}"] = _run(blind, truth, kind, 0)
-    for kind in KINDS:
-        out[f"run blind stretch {kind}"] = _blind_stretch(ref, truth, kind)
+    # No sensor reports at schedule steps t_f//3 to 2*t_f//3 - 1.
+    positions_at = scenarios.positions_at
+
+    def gap(schedule, topo, t):
+        if t_f // 3 <= t < 2 * t_f // 3:
+            return []
+        return positions_at(schedule, topo, t)
+
+    with mock.patch.object(scenarios, "positions_at", gap):
+        for kind in KINDS:
+            out[f"run blind stretch {kind}"] = _run(ref, truth, kind, 0)
     return out
 
 
