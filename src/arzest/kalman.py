@@ -17,6 +17,7 @@ ensemble reductions and ``Ydev.T @ Ydev`` round differently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,6 +56,17 @@ class EstimatorError(Exception):
     """Estimator could not complete a step."""
 
 
+def _check_settings(cfg, error: type, counts, reals) -> None:
+    """Raise ``error`` naming the first of ``cfg``'s settings ``counts``
+    that is not an integer or ``reals`` that is not a finite number."""
+    for name in counts + reals:
+        v, count = getattr(cfg, name), name in counts
+        kind = numbers.Integral if count else numbers.Real
+        if isinstance(v, bool) or not (isinstance(v, kind) and math.isfinite(v)):
+            what = "an integer" if count else "a finite number"
+            raise error(f"{name} must be {what}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Shared filter tuning.
@@ -73,6 +85,8 @@ class EstimatorConfig:
     ensemble_size: int = 100
 
     def __post_init__(self):
+        _check_settings(self, EstimatorError, ("ensemble_size",),
+                        ("q", "r", "p0", "alpha", "kappa", "beta"))
         if self.q < 0 or self.r <= 0 or self.p0 < 0:
             raise EstimatorError("q, p0 must be nonnegative and r positive")
         if self.ensemble_size < 2:

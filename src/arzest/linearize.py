@@ -95,7 +95,8 @@ def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
     """Central-difference Jacobians of f w.r.t. the state ("x") and/or the
     input ("u"), in one population call.
 
-    Each group of the topology's column coloring is perturbed at once and
+    The topology's stencil of the requested blocks (``model._Stencil``)
+    perturbs each group of its column coloring at once, and
     ``J[i, j] = dF_group(j)[i] / (2 h_j)`` is read off on the sparsity
     pattern; every entry equals the column-by-column stencil's bit for bit.
     Returns ``([J per block], tie, F)``: the flag marks a stencil that met
@@ -105,40 +106,27 @@ def _stencils(x0, u0, topo: Topology, params: ModelParams, ds_scale=None,
     the tie flag does not read.
     """
     x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
     plan = topo._jacobian
-    n = x0.size
-    base = plan.base[blocks]
-    rows = sum(2 * len(plan.groups[key].groups) for key in blocks)
-    # Each group's + rows and - rows, the unperturbed state, then the extra.
-    X = np.empty((rows + 1 + (extra is not None), n))
-    U = np.empty((len(X), u0.size))
-    X[:], U[:] = x0, u0
-    if extra is not None:
-        X[-1] = extra
-    parts, i = [], 0
-    for key in blocks:
-        c = plan.groups[key]
-        v, Y = (x0, X) if key == "x" else (u0, U)
-        h = np.maximum(FD_REL_STEP * np.abs(v), FD_ABS_STEP)
-        d = c.groups * h
-        Y[i:i + len(d)] += d
-        Y[i + len(d):i + 2 * len(d)] -= d
-        parts.append((c, h, slice(i, i + 2 * len(d))))
-        i += 2 * len(d)
-    F, gap = _net_flux(X, U, topo, params, ds_scale)
+    st, base, n = plan.stencil[blocks], plan.base[blocks], x0.size
+    v = np.concatenate((x0, np.asarray(u0, dtype=float)))
+    h = np.maximum(FD_REL_STEP * np.abs(v), FD_ABS_STEP)
+    # Laid out (columns, rows), as the flux kernel reads a population.
+    V = v[:, None] + st.signs * h[:, None]
+    if extra is None:
+        V = V[:, :-1]
+    else:
+        V[:n, -1] = extra
+    rows = st.signs.shape[1] - 2
+    F, gap = _net_flux(V[:n].T, V[n:].T, topo, params, ds_scale)
     # The unperturbed row's margins count only where no group shows them.
     margin = min(gap[:rows].min(), gap[rows, base].min(initial=np.inf))
-    Js = []
-    for c, h, at in parts:
-        Fk = F[at].ravel()
-        # Filled as (columns, rows) and transposed, the layout of a dense
-        # stencil, so that matrix-vector products round the same way.
-        Jt = np.zeros(h.size * n)
-        Jt[c.entry] = ((Fk.take(c.plus) - Fk.take(c.minus))
-                       / (2.0 * h).take(c.col))
-        Js.append(Jt.reshape(h.size, n).T)
-    return Js, bool(margin < TIE_TOL), F[rows:]
+    Fk = F[:rows].ravel()
+    # Filled as (columns, rows) and transposed, the layout of a dense
+    # stencil, so that matrix-vector products round the same way.
+    Jt = np.zeros((st.spans[-1].stop, n))
+    Jt.reshape(-1)[st.entry] = ((Fk.take(st.plus) - Fk.take(st.minus))
+                                / (2.0 * h).take(st.col))
+    return [Jt[sl].T for sl in st.spans], bool(margin < TIE_TOL), F[rows:]
 
 
 def jacobian_fx(x0, u0, topo: Topology, params: ModelParams,

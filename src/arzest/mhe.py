@@ -25,10 +25,10 @@ window, so the entry computes it then, as one more row of the flux call
 that builds its linearization, and keeps it as ``HorizonEntry.arrival``.
 
 The window Hessian is block tridiagonal over the horizon (Rao, Wright &
-Rawlings 1998).  Each buffer entry computes its Gram products once, when it
-enters the buffer, and every window that holds it only scales and adds them
-into the band: the diagonal and sub-diagonal blocks.  The dense Hessian is
-built from the band only when something reads it.
+Rawlings 1998).  Each buffer entry forms its weighted Gram products once,
+when the first window reads it, and every window that holds it only copies
+and sums those terms into the band: the diagonal and sub-diagonal blocks.
+The dense Hessian is built from the band only when something reads it.
 
 The quadratic program is solved by projected Newton (Bertsekas 1982)
 started from the unconstrained minimiser, so a window whose bounds are all
@@ -44,12 +44,13 @@ session then raises ``EstimatorError`` naming the step and the window.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .kalman import EstimatorError
+from .kalman import EstimatorError, _check_settings
 from .linearize import linearize_measurement, linearize_model
 from .model import ModelParams, Topology, _box_and_scale, _clip, step
 
@@ -96,12 +97,24 @@ class MheConfig:
     max_iter: int = 50
 
     def __post_init__(self):
+        _check_settings(self, ValueError, ("horizon", "max_iter"),
+                        ("mu", "w1", "w2", "tol_kkt"))
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
         if self.mu < 0 or self.w1 < 0 or self.w2 < 0:
             raise ValueError("objective weights must be nonnegative")
         if self.mu + self.w2 <= 0:
             raise ValueError("mu + w2 must be positive")
+
+
+# One entry's terms of the window objective (``HorizonEntry.terms``).
+_WindowTerms = namedtuple("_WindowTerms",
+                          "q_lead c_lead D q E c D_prev q_prev")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -118,10 +131,13 @@ class HorizonEntry:
     arrays enter the window, so the entry keeps no other part of its
     linearization.
 
-    The window terms of the entry are computed once, on creation: the
-    measurement products ``CtC = C_s' C_s``, ``Cty = C_s' resid`` and
-    ``yy = |resid|^2``, and the transition products ``AtA = A_s' A_s``,
-    ``Atr = A_s' r`` and ``rr = |r|^2``.  The entry is frozen and its
+    The products of the window objective are the measurement products
+    ``CtC = C_s' C_s``, ``Cty = C_s' resid`` and ``yy = |resid|^2``, and
+    the transition products ``AtA = A_s' A_s``, ``Atr = A_s' r`` and
+    ``rr = |r|^2``.  The vectors and numbers are computed on creation, the
+    two matrices each time they are read, so that the entry's only n_x x
+    n_x arrays are ``A_s`` and the three blocks of ``terms``, which scales
+    the products once per pair of weights.  The entry is frozen and its
     arrays are read-only, so the cached terms cannot go stale.
     """
 
@@ -131,29 +147,53 @@ class HorizonEntry:
     A_s: np.ndarray
     r: np.ndarray
     arrival: np.ndarray | None = None
-    CtC: np.ndarray = field(init=False, repr=False)
     Cty: np.ndarray = field(init=False, repr=False)
     yy: float = field(init=False, repr=False)
-    AtA: np.ndarray = field(init=False, repr=False)
     Atr: np.ndarray = field(init=False, repr=False)
     rr: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        def put(name, value):
-            if isinstance(value, np.ndarray):
-                value = value.view()
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-        for name in ("C_s", "resid", "A_s", "r", "arrival"):
-            put(name, getattr(self, name))
         C, resid, A, r = self.C_s, self.resid, self.A_s, self.r
-        put("CtC", C.T @ C)
-        put("Cty", C.T @ resid)
-        put("yy", float(resid @ resid))
-        put("AtA", A.T @ A)
-        put("Atr", A.T @ r)
-        put("rr", float(r @ r))
+        arrays = {"C_s": C, "resid": resid, "A_s": A, "r": r,
+                  "arrival": self.arrival, "Cty": C.T @ resid,
+                  "Atr": A.T @ r}
+        for name, a in arrays.items():
+            if isinstance(a, np.ndarray):
+                arrays[name] = _read_only(a.view())
+        self.__dict__.update(arrays, yy=float(resid @ resid),
+                             rr=float(r @ r), _terms={})
+
+    CtC = property(lambda self: _read_only(self.C_s.T @ self.C_s))
+    AtA = property(lambda self: _read_only(self.A_s.T @ self.A_s))
+
+    def terms(self, w1: float, w2: float) -> _WindowTerms:
+        """The entry's terms of the window objective under the weights
+        (w1, w2), formed on the first call with them and kept.  Each is a
+        partial sum of the term-by-term window sum (zeros, then the
+        measurement term, then the model term), so that a window that adds
+        them gets that sum's bits, signed zeros included:
+
+        - where the entry's time starts the window: the gradient
+          ``q_lead = 0 - 2 w1 Cty`` and the constant ``c_lead = w1 yy``
+          (the window forms that block, ``0 + w1 CtC``, itself: an entry
+          starts one window only);
+        - where it is later: the diagonal block ``D = (0 + w1 CtC) + w2 I``,
+          ``q = q_lead - 2 w2 r``, the sub-diagonal block
+          ``E = 0 - w2 A_s`` and the constant ``c = w2 rr``, added after
+          ``c_lead``;
+        - to the block before it: ``D_prev = w2 AtA`` and
+          ``q_prev = 2 w2 Atr``.
+        """
+        got = self._terms.get((w1, w2))
+        if got is None:
+            D = 0.0 + w1 * self.CtC
+            D.reshape(-1)[::len(D) + 1] += w2
+            q_lead = 0.0 + -2.0 * w1 * self.Cty
+            got = self._terms[w1, w2] = _WindowTerms(
+                q_lead, w1 * self.yy, D, q_lead + -2.0 * w2 * self.r,
+                0.0 - w2 * self.A_s, w2 * self.rr, w2 * self.AtA,
+                2.0 * w2 * self.Atr)
+        return got
 
 
 class HorizonBuffer:
@@ -280,10 +320,15 @@ def assemble_qp(buf: HorizonBuffer, x_bar_s, cfg: MheConfig,
     Block b holds the state at window time ``start + b``.  The oldest
     entry contributes only its measurement; every newer entry contributes
     its measurement and the transition linking it to the previous block.
-    Only the band of H is filled, by scaling and adding the terms each
-    entry cached; no dense H is formed.  No term is skipped: an entry with
-    no measurement row caches exact zeros, and a zero weight scales its
-    terms to exact zeros, so either adds only zeros to the band, q and const.
+    Only the band of H is filled, from the terms each entry formed once
+    under the weights (``HorizonEntry.terms``): a window forms the first
+    block and adds the arrival term to it, copies every other block's own
+    terms, and adds the next entry's ``D_prev`` and ``q_prev`` to every
+    block but the last.  No term is skipped: an entry with no measurement
+    row caches exact zeros, and a zero weight scales its terms to exact
+    zeros, so either adds only zeros to the band, q and const.  ``lo_s``
+    and ``hi_s`` bound one scaled state, or the whole window as
+    ``MheSession`` passes them.
     """
     if not buf.entries:
         raise ValueError("cannot assemble an empty buffer")
@@ -291,33 +336,29 @@ def assemble_qp(buf: HorizonBuffer, x_bar_s, cfg: MheConfig,
     start = buf.window_start()
     n_x = buf.entries[-1].A_s.shape[0]
     n_b = t - start + 1
-    D = np.zeros((n_b, n_x, n_x))
-    E = np.zeros((n_b - 1, n_x, n_x))
-    q = np.zeros(n_b * n_x)
+    terms = [e.terms(cfg.w1, cfg.w2) for e in buf.entries]
+    D = np.empty((n_b, n_x, n_x))
+    E = np.empty((n_b - 1, n_x, n_x))
+    q = np.empty(n_b * n_x)
     Q = q.reshape(n_b, n_x)
-    const = 0.0
-    diag = D.reshape(n_b, n_x * n_x)[:, ::n_x + 1]  # a view of each diagonal
-
+    D[0], Q[0], const = 0.0, 0.0, 0.0
+    if buf.entries[0].time == start:
+        lead = terms.pop(0)
+        np.add(0.0, cfg.w1 * buf.entries[0].CtC, out=D[0])
+        Q[0], const = lead.q_lead, 0.0 + lead.c_lead
     x_bar_s = np.asarray(x_bar_s, dtype=float)
-    diag[0] += cfg.mu
+    D[0].reshape(-1)[::n_x + 1] += cfg.mu
     Q[0] += -2.0 * cfg.mu * x_bar_s
     const += cfg.mu * float(x_bar_s @ x_bar_s)
+    for b, e in enumerate(terms, 1):
+        D[b], Q[b], E[b - 1] = e.D, e.q, e.E
+        D[b - 1] += e.D_prev
+        Q[b - 1] += e.q_prev
+        const = const + e.c_lead + e.c
 
-    for e in buf.entries:
-        b = e.time - start
-        D[b] += cfg.w1 * e.CtC
-        Q[b] += -2.0 * cfg.w1 * e.Cty
-        const += cfg.w1 * e.yy
-        if e.time > start:
-            diag[b] += cfg.w2
-            D[b - 1] += cfg.w2 * e.AtA
-            E[b - 1] -= cfg.w2 * e.A_s
-            Q[b] += -2.0 * cfg.w2 * e.r
-            Q[b - 1] += 2.0 * cfg.w2 * e.Atr
-            const += cfg.w2 * e.rr
-
-    z_min = np.concatenate((np.asarray(lo_s, dtype=float),) * n_b)
-    z_max = np.concatenate((np.asarray(hi_s, dtype=float),) * n_b)
+    z_min, z_max = (np.asarray(v, dtype=float) for v in (lo_s, hi_s))
+    if z_min.size != n_b * n_x:
+        z_min, z_max = np.tile(z_min, n_b), np.tile(z_max, n_b)
     return QPProblem(None, q, z_min, z_max, const, n_b, n_x, D, E)
 
 
@@ -469,6 +510,14 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = MheConfig.tol_kkt,
     return z, SolveInfo(converged, it, kkt, hist, floor, qp)
 
 
+@lru_cache(maxsize=32)
+def _window_box(topo: Topology, params: ModelParams, n_b: int):
+    """The scaled box of ``n_b`` stacked states, ``(z_min, z_max)``, built
+    once per network and window size, and read-only."""
+    lo, hi, d, *_ = _box_and_scale(topo, params)
+    return tuple(_read_only(np.tile(v / d, n_b)) for v in (lo, hi))
+
+
 class MheSession:
     """Stateful moving-horizon estimator.
 
@@ -541,7 +590,8 @@ class MheSession:
         else:
             x_bar = self.buffer.entries[0].arrival
         lo, hi, d, *_ = _box_and_scale(self.topo, self.params)
-        qp = assemble_qp(self.buffer, x_bar / d, self.cfg, lo / d, hi / d)
+        qp = assemble_qp(self.buffer, x_bar / d, self.cfg, *_window_box(
+            self.topo, self.params, min(self.t, self.cfg.horizon) + 1))
         try:
             z, info = solve_box_qp(qp, self.cfg.tol_kkt, self.cfg.max_iter)
         except np.linalg.LinAlgError as exc:

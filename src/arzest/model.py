@@ -29,6 +29,7 @@ population alike (see "The flux kernel" below for what one state costs).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
@@ -489,30 +490,31 @@ def _compile_boundaries(topo: Topology) -> _BoundaryTable:
         positions(slots[0], slots[1, :n_ramp], 0))
 
 
-@dataclass(frozen=True, eq=False)
-class _ColumnGroups:
-    """Greedy column coloring of one block of the Jacobian of f: the state
-    columns or the input columns.
-
-    No two columns of a group share a row of the block's sparsity pattern,
-    so one central difference per group recovers every column in it
-    (Curtis, Powell & Reid 1974).
-    """
-
-    groups: np.ndarray  # (k, columns) 1.0 on the columns of each group
-    # Per nonzero (row i, column j) of the pattern: j, the flat index of
-    # J[i, j] in the transposed (columns, rows) Jacobian, and the flat
-    # indices of F[i] in the (2k, rows) stencil rows of j's group, + then -.
-    col: np.ndarray
-    entry: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
+# The colored central-difference stencil of the Jacobian blocks of f that
+# one call asks for: the state ("x"), the input ("u") or both ("xu").
+#
+# Each block's columns are colored on their own (``_color``): no two columns
+# of a group share a row of the block's sparsity pattern, so one central
+# difference per group recovers every column in it (Curtis, Powell & Reid
+# 1974).  The call's k groups are numbered block by block.  Column r of
+# ``signs`` (n_x + n_u, 2k + 2) gives population row r as
+# ``[x0 | u0] + signs[:, r] * h``: the k + rows, the k - rows, the
+# unperturbed state, and a spare row for a state to step.  A group's
+# columns hold +1 (- rows: -1), the rest of its block +0.0 (- rows: -0.0)
+# and every other entry -0.0, so each row is the per-block stencil's
+# ``v + 0.0``, ``v - 0.0`` or ``v`` bit for bit, signed zeros included.
+# Per nonzero (row i, column j) of the requested blocks' pattern, ``col``
+# is j's index in ``[x0 | u0]``, ``entry`` the flat index of J[i, j] in the
+# transposed (columns, rows) Jacobian, and ``plus`` and ``minus`` the flat
+# indices of F[i] in the 2k stencil rows of j's group.  ``spans`` are the
+# requested blocks' rows of the transposed Jacobian.
+_Stencil = namedtuple("_Stencil", "signs col entry plus minus spans")
 
 
 @dataclass(frozen=True, eq=False)
 class _JacobianPlan:
-    """Column groups of the state ("x") and input ("u") blocks of the
-    Jacobian of f.
+    """The stencil of each choice of Jacobian blocks ("x", "u" or "xu"),
+    and the tie flag's base boundaries.
 
     A dense stencil shows each boundary's unperturbed tie margin in the
     rows of the columns that do not read it.  ``base[blocks]`` lists the
@@ -523,13 +525,14 @@ class _JacobianPlan:
     way.
     """
 
-    groups: dict  # "x" or "u" -> _ColumnGroups
+    stencil: dict  # "x", "u" or "xu" -> _Stencil
     base: dict  # "x", "u" or "xu" -> boundary indices
 
 
-def _color(pattern: np.ndarray) -> _ColumnGroups:
-    """Color the columns of a (rows, columns) pattern in order, each into
-    the first group whose rows it does not share."""
+def _color(pattern: np.ndarray) -> np.ndarray:
+    """The group of each column of a (rows, columns) pattern: columns are
+    colored in order, each into the first group whose rows it does not
+    share."""
     taken = []  # rows of each group, as bit sets
     group = np.empty(pattern.shape[1], dtype=np.intp)
     for j, rows in enumerate(pattern.T):
@@ -539,16 +542,12 @@ def _color(pattern: np.ndarray) -> _ColumnGroups:
             taken.append(0)
         taken[g] |= bits
         group[j] = g
-    k, (n, cols) = len(taken), pattern.shape
-    member = np.zeros((k, cols))
-    member[group, np.arange(cols)] = 1.0
-    row, col = np.nonzero(pattern)
-    plus = group[col] * n + row
-    return _ColumnGroups(member, col, col * n + row, plus, plus + k * n)
+    return group
 
 
 def _compile_jacobian(topo: Topology) -> _JacobianPlan:
-    """Sparsity pattern of the Jacobian of f and its column groups.
+    """Sparsity pattern of the Jacobian of f, its column groups and the
+    stencil of each choice of blocks.
 
     Legs give the columns: a sender's demand and characteristic read its
     density and relative flow, a receiver's density only its density, an
@@ -569,13 +568,33 @@ def _compile_jacobian(topo: Topology) -> _JacobianPlan:
     slot_rows = np.zeros((t.n_slots, n_x), dtype=bool)
     slot_rows[s, 2 * s] = slot_rows[s, 2 * s + 1] = True
     pattern = slot_rows[t.slots].any(axis=0).T @ reads  # (rows, columns)
-    blocks = {"x": slice(0, n_x), "u": slice(n_x, None)}
-    groups = {b: _color(pattern[:, sl]) for b, sl in blocks.items()}
+    blocks = {"x": np.arange(n_x), "u": np.arange(n_x, n_x + n_u)}
+    color = {b: _color(pattern[:, c]) for b, c in blocks.items()}
+
+    def side(b, sign):  # the + or - rows of block b's groups
+        S = np.full((color[b].max() + 1, n_x + n_u), -0.0)
+        S[:, blocks[b]] = 0.0 * sign
+        S[color[b], blocks[b]] = sign
+        return S
+
+    stencil = {}
+    for key in ("x", "u", "xu"):
+        cols = np.concatenate([blocks[b] for b in key])
+        off = {"x": 0, "u": (color["x"].max() + 1) * (key == "xu")}
+        group = np.concatenate([color[b] + off[b] for b in key])
+        signs = np.vstack([side(b, sg) for sg in (1.0, -1.0) for b in key]
+                          + [np.full((2, n_x + n_u), -0.0)]).T.copy()
+        row, j = np.nonzero(pattern[:, cols])
+        plus = group[j] * n_x + row
+        spans = ((slice(0, n_x), slice(n_x, len(cols))) if key == "xu"
+                 else (slice(0, len(cols)),))
+        stencil[key] = _Stencil(signs, cols[j], j * n_x + row, plus,
+                                plus + (group.max() + 1) * n_x, spans)
     # Boundaries that some column of the block does not read.
-    unread = {b: ~reads[:, sl].all(axis=1) for b, sl in blocks.items()}
+    unread = {b: ~reads[:, c].all(axis=1) for b, c in blocks.items()}
     unread["xu"] = unread["x"] | unread["u"]
     base = {key: np.flatnonzero(v) for key, v in unread.items()}
-    return _JacobianPlan(groups, base)
+    return _JacobianPlan(stencil, base)
 
 
 # ---------------------------------------------------------------------------

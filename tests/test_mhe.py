@@ -6,6 +6,7 @@ active-set enumeration on small instances and on small windows.  A session
 with injected affine hooks must recover an affine truth exactly (to solver
 tolerance).
 """
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from qp_oracles import (
 )
 
 from arzest import mhe
+from arzest.kalman import EstimatorConfig, EstimatorError
 from arzest.linearize import LinearizedMeasurement, linearize_measurement, linearize_model
 from arzest.mhe import (
     HorizonEntry,
@@ -90,33 +92,45 @@ def test_qp_weights_enter_objective():
     assert quad == pytest.approx(direct, rel=1e-8)
 
 
-@pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (0.5, 2.0, 7.0),
-                                     (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)])
+WEIGHT_SETS = [(1.0, 1.0, 1.0), (0.5, 2.0, 7.0), (1.0, 0.0, 1.0),
+               (1.0, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("weights", WEIGHT_SETS)
 def test_band_assembly_matches_the_dense_oracle(weights):
     """The band assembled from the entries' cached terms gives the dense
     oracle's H, q and const bit for bit: horizons 0-6, growing windows,
-    w1 = 0 or w2 = 0, and steps with no measurement.  The band product
-    agrees with the dense H z to roundoff."""
-    mu, w1, w2 = weights
+    w1 = 0 or w2 = 0, and steps with no measurement.  Each buffer is
+    assembled under ``weights``, then under every other weight set in
+    turn and under ``weights`` again, so a term that an entry formed under
+    one set of weights and a window read under another would show.  The
+    band product agrees with the dense H z to roundoff."""
+    i = WEIGHT_SETS.index(weights)
+    order = WEIGHT_SETS[i:] + WEIGHT_SETS[:i] + [weights]
     rng = np.random.default_rng(600)
     n_x = 6
     for horizon in range(7):
-        cfg = MheConfig(horizon=horizon, mu=mu, w1=w1, w2=w2)
         for n_steps in range(1, horizon + 3):
             blind = {t for t in range(1, n_steps + 1) if rng.random() < 0.3}
             buf = random_buffer(rng, horizon, n_steps, n_x=n_x, blind=blind)
             x_bar = rng.standard_normal(n_x)
             lo, hi = np.full(n_x, -10.0), np.full(n_x, 10.0)
-            qp = assemble_qp(buf, x_bar, cfg, lo, hi)
-            H, q, const = dense_assemble_qp(buf, x_bar, cfg, lo, hi)
-            np.testing.assert_array_equal(qp.H, H)
-            np.testing.assert_array_equal(qp.q, q)
-            assert qp.const == const
-            np.testing.assert_array_equal(qp.z_min, np.tile(lo, qp.n_blocks))
-            np.testing.assert_array_equal(qp.z_max, np.tile(hi, qp.n_blocks))
-            z = rng.uniform(-3, 3, H.shape[0])
-            err = np.abs(mhe._band_matvec(qp.D, qp.E, z) - H @ z)
-            assert np.all(err <= 1e-14 * (np.abs(H) @ np.abs(z)))
+            z = None
+            for mu, w1, w2 in order:
+                cfg = MheConfig(horizon=horizon, mu=mu, w1=w1, w2=w2)
+                qp = assemble_qp(buf, x_bar, cfg, lo, hi)
+                H, q, const = dense_assemble_qp(buf, x_bar, cfg, lo, hi)
+                np.testing.assert_array_equal(qp.H, H)
+                np.testing.assert_array_equal(qp.q, q)
+                assert qp.const == const
+                np.testing.assert_array_equal(qp.z_min,
+                                              np.tile(lo, qp.n_blocks))
+                np.testing.assert_array_equal(qp.z_max,
+                                              np.tile(hi, qp.n_blocks))
+                if z is None:
+                    z = rng.uniform(-3, 3, H.shape[0])
+                err = np.abs(mhe._band_matvec(qp.D, qp.E, z) - H @ z)
+                assert np.all(err <= 1e-14 * (np.abs(H) @ np.abs(z)))
 
 
 def test_horizon_entry_is_frozen():
@@ -214,6 +228,23 @@ def test_buffer_rejects_time_gap():
                        A_s=entry.A_s, r=entry.r)
     with pytest.raises(ValueError):
         buf.push(bad)
+
+
+@pytest.mark.parametrize("config, setting, value", [
+    (MheConfig, "tol_kkt", math.nan), (MheConfig, "w1", math.nan),
+    (MheConfig, "w2", math.inf), (MheConfig, "mu", math.nan),
+    (MheConfig, "horizon", 2.0), (MheConfig, "max_iter", 2.5),
+    (EstimatorConfig, "alpha", math.nan), (EstimatorConfig, "q", math.nan),
+    (EstimatorConfig, "r", math.inf), (EstimatorConfig, "kappa", -math.inf),
+    (EstimatorConfig, "ensemble_size", 50.0),
+])
+def test_configs_refuse_non_finite_numbers_and_non_integer_counts(
+        config, setting, value):
+    """Each of these was accepted, to end in flagged solves, a blow-up or a
+    TypeError at the first step; the refusal names the setting."""
+    with pytest.raises((ValueError, EstimatorError),
+                       match=rf"^{setting} must be (an integer|a finite)"):
+        config(**{setting: value})
 
 
 def test_operating_point_and_config_validation():

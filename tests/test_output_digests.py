@@ -13,5 +13,5 @@ def test_digests_repeat_and_are_well_formed():
     spec.loader.exec_module(mod)
     first, second = mod.digests(20), mod.digests(20)
     assert first == second
-    assert len(first) == 4 + 4 + 3 + 2 + 2 * 4 + 4 + 4
+    assert len(first) == 4 + 4 + 3 + 2 + 4 + 2 * 4 + 4 + 4
     assert all(re.fullmatch(r"[0-9a-f]{16}", v) for v in first.values())

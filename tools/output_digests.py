@@ -119,9 +119,11 @@ def digests(t_f: int = 500) -> dict[str, str]:
         out["cli sweep config"] = _sha(_untimed(res.read_text("utf-8")))
     ref = az.default_scenario(t_f)
     sweep = replace(ref, jam=az.JamSpec(7, min(5, t_f), t_f))
-    for name, sc in (("reference", ref), ("long-highway", _long_highway(t_f)),
+    long = _long_highway(t_f)
+    truths = {}
+    for name, sc in (("reference", ref), ("long-highway", long),
                      ("noise-sweep", sweep)):
-        truth = az.generate_truth(sc)
+        truths[name] = truth = az.generate_truth(sc)
         out[f"truth {name}"] = _sha(truth.traj, truth.obs)
     # Serial and pooled rows of one sweep, without the timing column.
     sweep = replace(sweep, seeds=(0,),
@@ -131,7 +133,11 @@ def digests(t_f: int = 500) -> dict[str, str]:
         out[f"sweep noise-sweep jobs {jobs}"] = _sha(*(
             [(k, v) for k, v in r.items() if k != "mean_step_time_s"]
             for r in rows))
-    truth = az.generate_truth(ref)
+    # n_x 68: the band blocks and the stencil at three times the state.
+    for kind in KINDS:
+        out[f"run long-highway {kind}"] = _run(long, truths["long-highway"],
+                                               kind, 0)
+    truth = truths["reference"]
     for noise in (1.0, 40.0):
         for kind in KINDS:
             out[f"run noise {noise:g} {kind}"] = _sha(*(
