@@ -17,7 +17,6 @@ ensemble reductions and ``Ydev.T @ Ydev`` round differently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,6 +27,7 @@ from .model import (
     ModelParams,
     Topology,
     _box_and_scale,
+    _check_settings,
     _clip,
     _update,
     measure_h,
@@ -54,17 +54,6 @@ _KINDS = ("ekf", "ukf", "enkf", "mhe")
 
 class EstimatorError(Exception):
     """Estimator could not complete a step."""
-
-
-def _check_settings(cfg, error: type, counts, reals) -> None:
-    """Raise ``error`` naming the first of ``cfg``'s settings ``counts``
-    that is not an integer or ``reals`` that is not a finite number."""
-    for name in counts + reals:
-        v, count = getattr(cfg, name), name in counts
-        kind = numbers.Integral if count else numbers.Real
-        if isinstance(v, bool) or not (isinstance(v, kind) and math.isfinite(v)):
-            what = "an integer" if count else "a finite number"
-            raise error(f"{name} must be {what}, got {v!r}")
 
 
 @dataclass(frozen=True)

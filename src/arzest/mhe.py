@@ -50,9 +50,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kalman import EstimatorError, _check_settings
+from .kalman import EstimatorError
 from .linearize import linearize_measurement, linearize_model
-from .model import ModelParams, Topology, _box_and_scale, _clip, step
+from .model import (ModelParams, Topology, _box_and_scale, _check_settings,
+                    _clip, step)
 
 __all__ = [
     "MheConfig",
@@ -127,18 +128,12 @@ class HorizonEntry:
     The measurement residual is ``resid - C_s x[time]``, where ``resid =
     y - c2`` is the measurement less the measurement model's offset.  The
     model residual is ``x[time] - A_s x[time-1] - r``, where ``r = B_s u +
-    c1_s`` is the transition's input and offset term.  Only these four
-    arrays enter the window, so the entry keeps no other part of its
-    linearization.
-
-    The products of the window objective are the measurement products
-    ``CtC = C_s' C_s``, ``Cty = C_s' resid`` and ``yy = |resid|^2``, and
-    the transition products ``AtA = A_s' A_s``, ``Atr = A_s' r`` and
-    ``rr = |r|^2``.  The vectors and numbers are computed on creation, the
-    two matrices each time they are read, so that the entry's only n_x x
-    n_x arrays are ``A_s`` and the three blocks of ``terms``, which scales
-    the products once per pair of weights.  The entry is frozen and its
-    arrays are read-only, so the cached terms cannot go stale.
+    c1_s`` is the transition's input and offset term.  The entry stores
+    these arrays and ``arrival``, read-only, and nothing else of its
+    linearization.  ``terms`` forms the products of the window objective
+    from them and keeps what it scales them to; ``CtC = C_s' C_s`` is
+    formed each time it is read.  The entry is frozen and its arrays are
+    read-only, so the kept terms cannot go stale.
     """
 
     time: int
@@ -147,52 +142,44 @@ class HorizonEntry:
     A_s: np.ndarray
     r: np.ndarray
     arrival: np.ndarray | None = None
-    Cty: np.ndarray = field(init=False, repr=False)
-    yy: float = field(init=False, repr=False)
-    Atr: np.ndarray = field(init=False, repr=False)
-    rr: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        C, resid, A, r = self.C_s, self.resid, self.A_s, self.r
-        arrays = {"C_s": C, "resid": resid, "A_s": A, "r": r,
-                  "arrival": self.arrival, "Cty": C.T @ resid,
-                  "Atr": A.T @ r}
-        for name, a in arrays.items():
-            if isinstance(a, np.ndarray):
-                arrays[name] = _read_only(a.view())
-        self.__dict__.update(arrays, yy=float(resid @ resid),
-                             rr=float(r @ r), _terms={})
+        arrays = {name: _read_only(a.view()) for name, a in vars(self).items()
+                  if isinstance(a, np.ndarray)}
+        self.__dict__.update(arrays, _terms={})
 
     CtC = property(lambda self: _read_only(self.C_s.T @ self.C_s))
-    AtA = property(lambda self: _read_only(self.A_s.T @ self.A_s))
 
     def terms(self, w1: float, w2: float) -> _WindowTerms:
         """The entry's terms of the window objective under the weights
-        (w1, w2), formed on the first call with them and kept.  Each is a
-        partial sum of the term-by-term window sum (zeros, then the
-        measurement term, then the model term), so that a window that adds
-        them gets that sum's bits, signed zeros included:
+        (w1, w2), formed on the first call with them and kept.  The
+        products they scale are ``CtC``, ``C_s' resid``, ``|resid|^2``,
+        ``A_s' A_s``, ``A_s' r`` and ``|r|^2``.  Each term is a partial sum
+        of the term-by-term window sum (zeros, then the measurement term,
+        then the model term), so that a window that adds them gets that
+        sum's bits, signed zeros included:
 
         - where the entry's time starts the window: the gradient
-          ``q_lead = 0 - 2 w1 Cty`` and the constant ``c_lead = w1 yy``
-          (the window forms that block, ``0 + w1 CtC``, itself: an entry
-          starts one window only);
+          ``q_lead = 0 - 2 w1 C_s' resid`` and the constant
+          ``c_lead = w1 |resid|^2`` (the window forms that block,
+          ``0 + w1 CtC``, itself: an entry starts one window only);
         - where it is later: the diagonal block ``D = (0 + w1 CtC) + w2 I``,
           ``q = q_lead - 2 w2 r``, the sub-diagonal block
-          ``E = 0 - w2 A_s`` and the constant ``c = w2 rr``, added after
+          ``E = 0 - w2 A_s`` and the constant ``c = w2 |r|^2``, added after
           ``c_lead``;
-        - to the block before it: ``D_prev = w2 AtA`` and
-          ``q_prev = 2 w2 Atr``.
+        - to the block before it: ``D_prev = w2 A_s' A_s`` and
+          ``q_prev = 2 w2 A_s' r``.
         """
         got = self._terms.get((w1, w2))
         if got is None:
+            C, resid, A, r = self.C_s, self.resid, self.A_s, self.r
             D = 0.0 + w1 * self.CtC
             D.reshape(-1)[::len(D) + 1] += w2
-            q_lead = 0.0 + -2.0 * w1 * self.Cty
+            q_lead = 0.0 + -2.0 * w1 * (C.T @ resid)
             got = self._terms[w1, w2] = _WindowTerms(
-                q_lead, w1 * self.yy, D, q_lead + -2.0 * w2 * self.r,
-                0.0 - w2 * self.A_s, w2 * self.rr, w2 * self.AtA,
-                2.0 * w2 * self.Atr)
+                q_lead, w1 * float(resid @ resid), D,
+                q_lead + -2.0 * w2 * r, 0.0 - w2 * A, w2 * float(r @ r),
+                w2 * (A.T @ A), 2.0 * w2 * (A.T @ r))
         return got
 
 

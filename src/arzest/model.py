@@ -29,6 +29,7 @@ population alike (see "The flux kernel" below for what one state costs).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
@@ -86,6 +87,24 @@ class BlowupError(ModelError):
         super().__init__(f"non-finite state at index {index}: {value!r}")
 
 
+def _check_value(name: str, value, count: bool, error=ModelError) -> None:
+    """The package's one rule for integer and finite settings: raise
+    ``error`` naming the setting ``name`` unless ``value`` is an integer
+    (a ``count``) or else a finite number.  A ``bool`` is neither."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) if count else
+            (isinstance(value, numbers.Real) and math.isfinite(value))):
+        what = "an integer" if count else "a finite number"
+        raise error(f"{name} must be {what}, got {value!r}")
+
+
+def _check_settings(cfg, error: type, counts, reals) -> None:
+    """``_check_value`` of ``cfg``'s settings ``counts`` and ``reals``, in
+    that order."""
+    for name in counts + reals:
+        _check_value(name, getattr(cfg, name), name in counts, error)
+
+
 def _hash_fields(obj) -> int:
     """The hash a frozen dataclass computes from its fields on every call.
     ``ModelParams`` and ``Topology`` key the per-network caches that the
@@ -118,6 +137,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("v_f", "rho_m", "tau", "gamma", "T", "l"):
+            _check_value(name, getattr(self, name), False)
             if not getattr(self, name) > 0:
                 raise ModelError(f"{name} must be positive")
         if self.tau <= 1:
@@ -175,12 +195,14 @@ class Topology:
     off_ramps: tuple[OffRamp, ...] = ()
 
     def __post_init__(self):
+        _check_value("n_mainline", self.n_mainline, True)
         if self.n_mainline < 1:
             raise ModelError("need at least one mainline cell")
         object.__setattr__(self, "on_ramps", tuple(self.on_ramps))
         object.__setattr__(self, "off_ramps", tuple(self.off_ramps))
         used = set()
         for r in self.on_ramps:
+            _check_value("on-ramp merge_into", r.merge_into, True)
             if not 1 <= r.merge_into <= self.n_mainline:
                 raise ModelError(f"on-ramp merge_into {r.merge_into} out of range")
             b = r.merge_into - 1
@@ -188,6 +210,7 @@ class Topology:
                 raise ModelError(f"two ramps share mainline boundary {b}")
             used.add(b)
         for r in self.off_ramps:
+            _check_value("off-ramp diverge_from", r.diverge_from, True)
             if not 1 <= r.diverge_from <= self.n_mainline:
                 raise ModelError(f"off-ramp diverge_from {r.diverge_from} out of range")
             if not 0.0 < r.alpha < 1.0:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import time as _time
 from dataclasses import dataclass, field, replace
 
@@ -29,6 +28,8 @@ from .model import (
     OnRamp,
     StepDiagnostics,
     Topology,
+    _check_settings,
+    _check_value,
     equilibrium_state,
     measure_h,
     pack_inputs,
@@ -95,6 +96,7 @@ class JamSpec:
     scale: float = 0.3
 
     def __post_init__(self):
+        _check_settings(self, ValueError, ("segment", "start", "end"), ())
         if not 0 < self.scale <= 1:
             raise ValueError("jam scale must lie in (0, 1]")
         if self.start < 0 or self.end < self.start:
@@ -138,14 +140,18 @@ class Scenario:
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if (not self.seeds or min(self.seeds) < 0
-                or not all(isinstance(s, numbers.Integral) for s in self.seeds)):
+        for s in self.seeds:
+            _check_value("seeds", s, True, ValueError)
+        _check_settings(self, ValueError, ("warmup_steps",), ("noise_std",))
+        if not self.seeds or min(self.seeds) < 0:
             raise ValueError("seeds must be a non-empty list of integers "
                              f">= 0, got {list(self.seeds)}")
-        if not (isinstance(self.warmup_steps, numbers.Integral)
-                and self.warmup_steps >= 0):
+        if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be an integer >= 0, got "
                              f"{self.warmup_steps!r}")
+        if self.noise_std < 0:
+            raise ValueError("noise_std must be a finite number >= 0, "
+                             f"got {self.noise_std}")
         if self.x_init is not None:
             x = np.asarray(self.x_init, dtype=float)
             if x.shape != (self.topo.n_x,):
@@ -160,9 +166,6 @@ class Scenario:
                 raise ValueError("jam segment out of range")
             if self.jam.end > self.t_f:
                 raise ValueError("jam window exceeds scenario duration")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError("noise_std must be a finite number >= 0, "
-                             f"got {self.noise_std}")
         # Every later step's layout comes from the same free slots, so the
         # first one checks the schedule against the topology.
         try:

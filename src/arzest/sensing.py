@@ -11,13 +11,12 @@ noise from the caller's generator to the rows it selects.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import Topology
+from .model import Topology, _check_value
 
 __all__ = [
     "SensorSchedule",
@@ -47,25 +46,21 @@ class SensorSchedule:
         object.__setattr__(self, "fixed_segments", tuple(self.fixed_segments))
         object.__setattr__(self, "initial_positions", tuple(self.initial_positions))
         for s in self.fixed_segments + self.initial_positions:
-            _check_segment(s)
+            _check_value("sensor segment", s, True, ValueError)
         if len(set(self.fixed_segments)) != len(self.fixed_segments):
             raise ValueError("duplicate fixed sensor segment")
         if self.mobile_count != len(self.initial_positions):
             raise ValueError("mobile_count must match initial_positions")
         if len(set(self.initial_positions)) != len(self.initial_positions):
             raise ValueError("duplicate mobile start position")
-        if self.rotation_period is not None and not math.isinf(self.rotation_period):
-            if int(self.rotation_period) != self.rotation_period or self.rotation_period < 1:
+        period = self.rotation_period
+        if period is not None and not math.isinf(period):
+            _check_value("rotation_period", period, False, ValueError)
+            if int(period) != period or period < 1:
                 raise ValueError("rotation_period must be a positive whole number of steps")
         for s in self.initial_positions:
             if s in self.fixed_segments:
                 raise ValueError(f"mobile start {s} collides with a fixed sensor")
-
-
-def _check_segment(s) -> None:
-    """Refuse a segment id that is not an integer (``bool`` included)."""
-    if isinstance(s, bool) or not isinstance(s, numbers.Integral):
-        raise ValueError(f"sensor segment {s!r} is not an integer")
 
 
 @lru_cache(maxsize=32)
@@ -112,7 +107,7 @@ def build_observation(measured, topo: Topology) -> np.ndarray:
     """
     C = np.zeros((2 * len(measured), topo.n_x))
     for r, s in enumerate(measured):
-        _check_segment(s)
+        _check_value("sensor segment", s, True, ValueError)
         if not 1 <= s <= topo.n_segments:
             raise ValueError(f"segment id {s} out of range 1..{topo.n_segments}")
         C[2 * r, 2 * (s - 1)] = 1.0

@@ -183,6 +183,12 @@ def test_params_validation():
     with pytest.raises(ModelError, match=r"rho_m \*\* gamma underflows .*"
                        r"rho_m = 0\.5, gamma = 2000"):
         ModelParams(v_f=102, rho_m=0.5, tau=20, gamma=2000, T=1 / 3600, l=0.1)
+    # tau = inf relaxes by a factor of 1, outside (0, 1); l = inf moves no
+    # flux.  Both were accepted.
+    ref = dict(v_f=102, rho_m=345, tau=20, gamma=1.75, T=1 / 3600, l=0.1)
+    for name in ("tau", "l"):
+        with pytest.raises(ModelError, match=f"^{name} must be a finite"):
+            ModelParams(**{**ref, name: math.inf})
 
 
 def test_topology_validation():
@@ -196,6 +202,16 @@ def test_topology_validation():
     with pytest.raises(ModelError):
         Topology(n_mainline=5, on_ramps=(OnRamp(merge_into=3),),
                  off_ramps=(OffRamp(diverge_from=2, alpha=0.2),))
+    # Cell ids that are not integers.  Each was built: a float count failed
+    # at first use, True made a one-cell road, and a float ramp cell
+    # mis-wired the network or failed at the first step.
+    for kwargs, name in (({"n_mainline": 9.0}, "n_mainline"),
+                         ({"n_mainline": True}, "n_mainline"),
+                         ({"on_ramps": (OnRamp(1.5),)}, "merge_into"),
+                         ({"on_ramps": (OnRamp(2.5),)}, "merge_into"),
+                         ({"off_ramps": (OffRamp(3.5, 0.2),)}, "diverge_from")):
+        with pytest.raises(ModelError, match=f"{name} must be an integer"):
+            Topology(**{"n_mainline": 9, **kwargs})
 
 
 def test_segment_ids_and_layout(topo):

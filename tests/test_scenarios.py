@@ -98,6 +98,13 @@ def test_scenario_validation():
         JamSpec(segment=7, start=0, end=10, scale=0.0)
     with pytest.raises(ValueError):
         JamSpec(segment=7, start=5, end=2)
+    # Jam cells and steps that are not integers: a float start failed
+    # in generate_truth, a float segment at its first index, and True
+    # jammed segment 1.
+    for jam, name in (((7, 10.5, 40), "start"), ((7, 1, 5.0), "end"),
+                      ((7.0, 1, 5), "segment"), ((True, 1, 5), "segment")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            JamSpec(*jam)
     with pytest.raises(ValueError):
         EstimatorSpec("pf")
     for std in (-5.0, math.inf, math.nan):
@@ -105,11 +112,12 @@ def test_scenario_validation():
             Scenario(**{**sc.__dict__, "noise_std": std})
     with pytest.raises(ValueError, match="noise_std"):
         default_scenario(20, -5.0)
-    for seeds in ((), (0, -1), (0.5,)):
+    for seeds in ((), (0, -1), (0.5,), (0, True)):
         with pytest.raises(ValueError, match="seeds"):
             Scenario(**{**sc.__dict__, "seeds": seeds})
-    with pytest.raises(ValueError, match="warmup_steps"):
-        Scenario(**{**sc.__dict__, "warmup_steps": -3})
+    for warmup in (-3, 2.5, True):
+        with pytest.raises(ValueError, match="warmup_steps"):
+            Scenario(**{**sc.__dict__, "warmup_steps": warmup})
     # A state of the wrong shape, a negative density, a non-finite entry
     # and a density above rho_m.
     x = generate_truth(sc).traj[0]

@@ -77,6 +77,9 @@ def test_schedule_validation():
                        rotation_period=15, initial_positions=(9,))
     with pytest.raises(ValueError, match="2.5"):
         SensorSchedule(fixed_segments=(2.5,))
+    with pytest.raises(ValueError, match="rotation_period"):
+        SensorSchedule(fixed_segments=FIXED, mobile_count=1,
+                       rotation_period=math.nan, initial_positions=(1,))
 
 
 def test_mobile_start_must_be_free_mainline(topo):
