@@ -28,7 +28,7 @@ from .model import (
     Topology,
     _box_and_scale,
     _check_settings,
-    _clip,
+    _read_only,
     _update,
     measure_h,
     step_batch,
@@ -94,9 +94,14 @@ class EstimatorState:
 
 
 def project_to_bounds(x, lo, hi) -> np.ndarray:
-    """Clip a state (or a batch of states in rows) into the physical box,
-    given as arrays: ``np.clip(x, lo, hi)`` bit for bit (``model._clip``)."""
-    return _clip(x, lo, hi)
+    """Clip a state, or a population of states in rows, into the box
+    ``[lo, hi]`` given as arrays along the state axis: ``np.clip(x, lo,
+    hi)`` bit for bit, signed zeros included, without that function's
+    Python-level dispatch.  The two differ where ``np.clip`` runs its
+    scalar-bound loop: for a scalar bound, or a population of one-entry
+    states, it keeps a ``-0.0`` at a bound of 0 where ``np.maximum``
+    returns ``0.0``.  No state has fewer than two entries."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def init_state(x0, cfg: EstimatorConfig, topo: Topology, params: ModelParams,
@@ -122,9 +127,7 @@ def _sym(P: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _eye(n: int) -> np.ndarray:
     """The n x n identity, built once and read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
+    return _read_only(np.eye(n))
 
 
 def ekf_step(state: EstimatorState, u, y, C_sel, cfg: EstimatorConfig,

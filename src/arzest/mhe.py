@@ -50,10 +50,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kalman import EstimatorError
+from .kalman import EstimatorError, project_to_bounds
 from .linearize import linearize_measurement, linearize_model
 from .model import (ModelParams, Topology, _box_and_scale, _check_settings,
-                    _clip, step)
+                    _read_only, step)
 
 __all__ = [
     "MheConfig",
@@ -111,11 +111,6 @@ class MheConfig:
 # One entry's terms of the window objective (``HorizonEntry.terms``).
 _WindowTerms = namedtuple("_WindowTerms",
                           "q_lead c_lead D q E c D_prev q_prev")
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -451,7 +446,7 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = MheConfig.tol_kkt,
     D, E, q, lo, hi = qp.D, qp.E, qp.q, qp.z_min, qp.z_max
     if z0 is None:
         z0 = _solve_blocks(D, E, -0.5 * q)
-    z = _clip(np.asarray(z0, dtype=float), lo, hi)
+    z = project_to_bounds(np.asarray(z0, dtype=float), lo, hi)
     hist, it, abs_band = [], 0, None
     while True:
         Hz = _band_matvec(D, E, z)
@@ -469,7 +464,7 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = MheConfig.tol_kkt,
         if converged or it >= max_iter:
             break
         it += 1
-        dz = z - _clip(z - g, lo, hi)
+        dz = z - project_to_bounds(z - g, lo, hi)
         eps = min(NEWTON_EPS, math.sqrt(dz @ dz))
         held = ((z <= lo + eps) & (g > 0.0)) | ((z >= hi - eps) & (g < 0.0))
         free = ~held
@@ -483,7 +478,7 @@ def solve_box_qp(qp: QPProblem, tol_kkt: float = MheConfig.tol_kkt,
         slope = -float(g[free] @ d[free])
         a = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            z_new = _clip(z + a * d, lo, hi)
+            z_new = project_to_bounds(z + a * d, lo, hi)
             s = z_new - z
             # f(z + s) - f(z) = s'Hs + g's, free of the cancellation between
             # two large objective values.
@@ -591,5 +586,5 @@ class MheSession:
             self.failed_solves += 1
         blocks = z.reshape(qp.n_blocks, qp.n_x) * d
         # Rescaling to natural units can brush a bound by one ulp.
-        self._window = _clip(blocks, lo, hi)
+        self._window = project_to_bounds(blocks, lo, hi)
         return self._window[-1].copy()

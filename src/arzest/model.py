@@ -201,21 +201,16 @@ class Topology:
         object.__setattr__(self, "on_ramps", tuple(self.on_ramps))
         object.__setattr__(self, "off_ramps", tuple(self.off_ramps))
         used = set()
-        for r in self.on_ramps:
-            _check_value("on-ramp merge_into", r.merge_into, True)
-            if not 1 <= r.merge_into <= self.n_mainline:
-                raise ModelError(f"on-ramp merge_into {r.merge_into} out of range")
-            b = r.merge_into - 1
-            if b in used:
-                raise ModelError(f"two ramps share mainline boundary {b}")
-            used.add(b)
-        for r in self.off_ramps:
-            _check_value("off-ramp diverge_from", r.diverge_from, True)
-            if not 1 <= r.diverge_from <= self.n_mainline:
-                raise ModelError(f"off-ramp diverge_from {r.diverge_from} out of range")
-            if not 0.0 < r.alpha < 1.0:
+        for i, r in enumerate(self.on_ramps + self.off_ramps):
+            on = i < len(self.on_ramps)
+            what = "on-ramp merge_into" if on else "off-ramp diverge_from"
+            cell = r.merge_into if on else r.diverge_from
+            _check_value(what, cell, True)
+            if not 1 <= cell <= self.n_mainline:
+                raise ModelError(f"{what} {cell} out of range")
+            if not (on or 0.0 < r.alpha < 1.0):
                 raise ModelError(f"off-ramp split alpha {r.alpha} must lie in (0, 1)")
-            b = r.diverge_from
+            b = cell - 1 if on else cell
             if b in used:
                 raise ModelError(f"two ramps share mainline boundary {b}")
             used.add(b)
@@ -302,22 +297,14 @@ def _box_and_scale(topo: Topology, params: ModelParams):
     filters, the MHE session, ``_update`` and ``linearize_model``."""
     lo, hi = state_bounds(topo, params)
     d = state_scale(topo, params)
-    arrays = (lo, hi, d, d[None, :] / d[:, None],
-              build_update_matrices(topo, params)[0])
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return tuple(map(_read_only, (lo, hi, d, d[None, :] / d[:, None],
+                                  build_update_matrices(topo, params)[0])))
 
 
-def _clip(x, lo, hi):
-    """``np.clip(x, lo, hi)`` for one state or a population of states
-    (rows) and bounds along the state axis, bit for bit, signed zeros
-    included, without that function's Python-level dispatch.  The two
-    differ where ``np.clip`` runs its scalar-bound loop: for a scalar
-    bound, or a population of one-entry states, it keeps a ``-0.0`` at a
-    bound of 0 where ``np.maximum`` returns ``0.0``.  No state has fewer
-    than two entries."""
-    return np.minimum(np.maximum(x, lo), hi)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only in place and return it."""
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .model import (
     Topology,
     _check_settings,
     _check_value,
+    _read_only,
     equilibrium_state,
     measure_h,
     pack_inputs,
@@ -119,6 +120,25 @@ class EstimatorSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One twin experiment, checked when built.
+
+    - ``scenario_id``: the name that the scenario's sweep rows carry.
+    - ``params``, ``topo``: the model and the network.
+    - ``t_f``: the number of steps; the truth has states 0..t_f.
+    - ``inputs``: (t_f, n_u), in ``pack_inputs`` layout; row k drives the
+      step from state k to state k + 1.
+    - ``schedule``: the sensors; its layout at schedule step k - 1 reads
+      state k.
+    - ``noise_std``: the measurement noise's standard deviation, >= 0, in
+      veh/km on density rows and km/h on speed rows.
+    - ``seeds``: the nonnegative integer seeds that a sweep averages over.
+    - ``estimators``: the specs that a sweep compares.
+    - ``jam``: the local slowdown, or None.
+    - ``warmup_steps``: the constant-input steps, >= 0, that take a
+      20 veh/km equilibrium to the start state when ``x_init`` is None.
+    - ``x_init``: (n_x,), the start state, inside ``state_bounds``; or None.
+    """
+
     scenario_id: str
     params: ModelParams
     topo: Topology
@@ -312,12 +332,25 @@ def make_estimator(spec: EstimatorSpec, x0, topo: Topology,
 
 @dataclass
 class RunResult:
+    """One estimator pass of ``run_estimation``.
+
+    - ``estimator``: the estimator kind.
+    - ``est``: (t_f + 1, n_x), the estimates; row 0 is the given start.
+    - ``rmse_rho``, ``rmse_v``: density RMSE in veh/km and speed RMSE in
+      km/h over states 1..t_f (``rmse``).
+    - ``mean_step_time_s``: the mean wall time of one estimator step, in s.
+    - ``within_bounds``: True when every entry of rows 1..t_f lies inside
+      ``state_bounds`` to within 1e-12; a NaN entry lies outside.
+    - ``flags``: ``name=n`` for each nonzero count of the estimator's
+      ``events``, then ``bounds`` unless ``within_bounds``, joined by
+      ``;``; empty for a clean run.
+    """
+
     estimator: str
     est: np.ndarray  # (t_f + 1, n_x)
     rmse_rho: float
     rmse_v: float
     mean_step_time_s: float
-    max_step_time_s: float
     within_bounds: bool
     flags: str
 
@@ -386,8 +419,8 @@ def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
         measured = tuple(positions_at(sc.schedule, topo, k - 1))
         C = selectors.get(measured)
         if C is None:
-            C = selectors[measured] = build_observation(measured, topo)
-            C.flags.writeable = False
+            C = selectors[measured] = _read_only(
+                build_observation(measured, topo))
         y = synthesize_measurements(truth.obs[k], C, sc.noise_std, rng_noise)
         t0 = _time.perf_counter()
         x_hat = estimator.step(sc.inputs[k - 1], y, C)
@@ -395,7 +428,7 @@ def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
         est[k] = x_hat
     # The first row is the given start, which the flag leaves out.
     lo, hi = state_bounds(topo, params)
-    within = not (np.any(est[1:] < lo - 1e-12) or np.any(est[1:] > hi + 1e-12))
+    within = bool(np.all((lo - 1e-12 <= est[1:]) & (est[1:] <= hi + 1e-12)))
     r_rho, r_v = rmse(truth.traj, est, params, truth_obs=truth.obs)
     flags = [f"{name}={n}" for name, n in estimator.events.items() if n]
     if not within:
@@ -403,7 +436,6 @@ def run_estimation(sc: Scenario, truth: TruthResult, spec: EstimatorSpec,
     return RunResult(
         estimator=spec.kind, est=est, rmse_rho=r_rho, rmse_v=r_v,
         mean_step_time_s=float(np.mean(times)),
-        max_step_time_s=float(np.max(times)),
         within_bounds=within, flags=";".join(flags),
     )
 
@@ -568,16 +600,18 @@ def sweep_noise(sc: Scenario, stds=(0.0, 1.0, 5.0, 10.0, 20.0, 40.0),
     return _sweep(sc, "noise", cells, truth, jobs)
 
 
+# The sweep CSV's columns, each with the format of its values (None: as the
+# csv module writes them).
+_SWEEP_COLUMNS = {"scenario_id": None, "sweep": None, "estimator": None,
+                  "knob": None, "rmse_rho": ".9g", "rmse_v": ".9g",
+                  "mean_step_time_s": ".9g", "flags": None}
+
+
 def write_sweep_csv(rows: list[dict], path: str) -> None:
     """Write sweep rows as UTF-8 CSV with 9-significant-digit floats."""
-    cols = ["scenario_id", "sweep", "estimator", "knob",
-            "rmse_rho", "rmse_v", "mean_step_time_s", "flags"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
+        w.writerow(_SWEEP_COLUMNS)
         for r in rows:
-            w.writerow([
-                r["scenario_id"], r["sweep"], r["estimator"], r["knob"],
-                f"{r['rmse_rho']:.9g}", f"{r['rmse_v']:.9g}",
-                f"{r['mean_step_time_s']:.9g}", r["flags"],
-            ])
+            w.writerow([r[c] if f is None else format(r[c], f)
+                        for c, f in _SWEEP_COLUMNS.items()])

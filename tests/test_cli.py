@@ -472,6 +472,10 @@ def test_empty_config_is_the_reference_scenario():
     ({"inputs": {"demand_veh_h": -1}}, "inputs.demand_veh_h must be >= 0.0"),
     ({"jam": {"segment": 7, "end": True}},
      "jam.start and jam.end must be integers"),
+    ({"jam": {"segment": 7.5}}, "jam.segment must be an integer"),
+    ({"topology": {"off_ramps": [{"from": 2.5}]}},
+     "topology.off_ramps[].from must be an integer"),
+    ([], "configuration root must be a JSON object"),
 ])
 def test_config_errors_name_their_key(doc, cause):
     with pytest.raises(cli.ConfigError, match=re.escape(cause)):
@@ -502,15 +506,20 @@ _ROTATION = {"duration_s": 10,
      "met a singular pivot block"),
     (_ROTATION, ["sweep", "--sweep", "rotation", "--jobs", "2"], 3,
      "met a singular pivot block"),
+    ({"duration_s": 10, "topology": {"mainline": 4},
+      "sensors": {"fixed": [4]}}, ["sweep", "--sweep", "sensors"], 2,
+     "the sensors sweep: sensor schedule: segment id 7 out of range 1..4"),
 ], ids=["overflow-estimate", "overflow-gramian", "underflow-simulate",
         "underflow-estimate", "underflow-gramian", "ekf-singular",
-        "mhe-singular", "sweep", "sweep-jobs-2"])
+        "mhe-singular", "sweep", "sweep-jobs-2", "sweep-sensors-misfit"])
 def test_numerical_failures_exit_with_their_cause(tmp_path, doc, args, code,
                                                   cause):
     """Parameters whose pressure term overflows or underflows are a config
     error, and a singular Kalman innovation covariance or MHE window solve
     is a runtime error: each exits with its code and names its cause, with
-    no traceback, also when the error crosses the sweep's worker pool."""
+    no traceback, also when the error crosses the sweep's worker pool.  So
+    does a sweep cell whose sensors do not fit the network: on a 4-cell
+    mainline the sensors sweep's third extra sensor is on cell 7."""
     if args[0] == "sweep":
         args = args + ["--out", str(tmp_path / "rows.csv")]
     done = subprocess.run(

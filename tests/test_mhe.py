@@ -25,6 +25,7 @@ from arzest import mhe
 from arzest.kalman import EstimatorConfig, EstimatorError
 from arzest.linearize import LinearizedMeasurement, linearize_measurement, linearize_model
 from arzest.mhe import (
+    HorizonBuffer,
     HorizonEntry,
     MheConfig,
     MheSession,
@@ -256,6 +257,9 @@ def test_operating_point_and_config_validation():
         MheConfig(mu=-0.1)
     with pytest.raises(ValueError):
         MheConfig(mu=0.0, w2=0.0)
+    with pytest.raises(ValueError, match="cannot assemble an empty buffer"):
+        assemble_qp(HorizonBuffer(3), np.zeros(6), MheConfig(horizon=3),
+                    np.full(6, -10.0), np.full(6, 10.0))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,8 @@ def test_pack_inputs_layout(topo):
     assert list(u) == [8800.0, 102.0, 30.0, 600.0, 102.0, 20.0, 25.0]
     with pytest.raises(ModelError):
         pack_inputs(topo, 8800.0, 102.0, 30.0, (), (), (20.0, 25.0))
+    with pytest.raises(ModelError, match="one exit density per off-ramp"):
+        pack_inputs(topo, 8800.0, 102.0, 30.0, (600.0,), (102.0,), (20.0,))
 
 
 # ---------------------------------------------------------------------------

@@ -384,7 +384,25 @@ def test_run_estimation_clean_flags_and_bounds():
     assert res.flags == ""
     assert res.est.shape == truth.traj.shape
     assert res.mean_step_time_s > 0
-    assert res.max_step_time_s >= res.mean_step_time_s
+
+
+def test_nan_estimates_leave_the_bounds_and_flag_the_run(monkeypatch):
+    """A NaN estimate fails the bounds check: an all-NaN run once read
+    within bounds, with no flag."""
+    sc = _small(t_f=5)
+    truth = generate_truth(sc)
+
+    class Lost:
+        events = {}
+
+        def step(self, u, y, C):
+            return np.full(sc.topo.n_x, np.nan)
+
+    monkeypatch.setattr(scenarios, "make_estimator", lambda *args: Lost())
+    res = run_estimation(sc, truth, sc.estimators[0], seed=0)
+    assert not res.within_bounds
+    assert res.flags == "bounds"
+    assert math.isnan(res.rmse_rho)
 
 
 def test_sweep_sensor_count_rows():
